@@ -48,7 +48,6 @@ class OpNode:
     kind: str
     inputs: tuple
     attrs: dict
-    out_shape: tuple
 
 
 class Tensor:
@@ -532,24 +531,6 @@ class _AvgPool:
         return (full[(slice(None), *[slice(0, n) for n in dims], slice(None))],)
 
 
-@_register("global_average_pool")
-class _GlobalAveragePool:
-    @staticmethod
-    def forward(xs, attrs):
-        (x,) = xs
-        axes = tuple(attrs["axes"])
-        if any(not 0 <= a < x.ndim for a in axes):
-            raise ShapeMismatch("global_average_pool", f"axes within rank {x.ndim}", f"{axes}")
-        return x.mean(axis=axes)
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        x = xs[0]
-        axes = tuple(attrs["axes"])
-        scale = 1.0 / np.prod([x.shape[a] for a in axes])
-        return (np.broadcast_to(np.expand_dims(g, axes) * scale, x.shape),)
-
-
 @_register("sum")
 class _Sum:
     @staticmethod
@@ -570,8 +551,11 @@ class _Sum:
 class _Mean:
     @staticmethod
     def forward(xs, attrs):
+        (x,) = xs
         axes = attrs.get("axes")
-        return xs[0].mean(axis=None if axes is None else tuple(axes))
+        if axes is not None and any(not 0 <= a < x.ndim for a in axes):
+            raise ShapeMismatch("mean", f"axes within rank {x.ndim}", f"{tuple(axes)}")
+        return x.mean(axis=None if axes is None else tuple(axes))
 
     @staticmethod
     def vjp(g, xs, out, attrs):
@@ -634,22 +618,6 @@ class _CrossEntropyLogits:
         return (g * p,)
 
 
-@_register("embedding_add")
-class _EmbeddingAdd:
-    """Adds a learned positional table to every batch item of a token grid."""
-
-    @staticmethod
-    def forward(xs, attrs):
-        grid, table = xs
-        if table.shape != grid.shape[1:]:
-            raise ShapeMismatch("embedding_add", f"table {grid.shape[1:]}", f"{table.shape}")
-        return grid + table
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        return g, g.sum(axis=0)
-
-
 OP_KINDS = tuple(sorted(_OPS))
 
 
@@ -667,7 +635,7 @@ def apply(kind, inputs, attrs=None):
         out = _OPS[kind].forward(arrays, attrs)
     _require_finite(out, f"{kind} output")
     requires = any(t.requires_grad for t in inputs)
-    node = OpNode(kind, tuple(inputs), attrs, out.shape) if requires else None
+    node = OpNode(kind, tuple(inputs), attrs) if requires else None
     return Tensor(out, requires_grad=requires, _op=node, _checked=True)
 
 
@@ -760,8 +728,6 @@ def _default_attrs(kind, shapes):
         return {"stride": 1, "padding": 1}
     if kind == "avg_pool":
         return {"stride": (2,) * (len(shapes[0]) - 2)}
-    if kind == "global_average_pool":
-        return {"axes": tuple(range(1, len(shapes[0])))}
     if kind == "reshape":
         return {"shape": (int(np.prod(shapes[0])),)}
     if kind == "permute":
@@ -845,13 +811,14 @@ GRADCHECK_SUITE = (
     ("avg_pool", ((2, 5, 3),), {"stride": (2,)}),
     ("avg_pool", ((2, 5, 4, 3),), {"stride": (2, 2)}),
     ("avg_pool", ((2, 3, 5, 4, 2),), {"stride": (2, 2, 2)}),
-    ("global_average_pool", ((2, 3, 4, 5),), {"axes": (1, 2)}),
+    ("mean", ((2, 3, 4, 5),), {"axes": (1, 2)}),
     ("sum", ((3, 4),), {"axes": None}),
     ("sum", ((3, 4),), {"axes": (0,)}),
     ("mean", ((3, 4),), {"axes": (1,)}),
     ("squared_error_sum", ((3, 2), (3, 2)), None),
     ("cross_entropy_logits", ((3, 5),), {"targets": (0, 4, 2)}),
-    ("embedding_add", ((2, 3, 4, 5), (3, 4, 5)), None),
+    # a positional table added to every batch item, as patchify does
+    ("add", ((2, 3, 4, 5), (3, 4, 5)), None),
 )
 
 
@@ -926,10 +893,6 @@ def avg_pool(x, stride):
     return apply("avg_pool", (x,), {"stride": tuple(stride)})
 
 
-def global_average_pool(x, axes):
-    return apply("global_average_pool", (x,), {"axes": tuple(axes)})
-
-
 def sum_(a, axes=None):
     return apply("sum", (a,), {"axes": axes})
 
@@ -944,7 +907,3 @@ def squared_error_sum(a, b):
 
 def cross_entropy_logits(logits, targets):
     return apply("cross_entropy_logits", (logits,), {"targets": tuple(int(t) for t in targets)})
-
-
-def embedding_add(grid, table):
-    return apply("embedding_add", (grid, table))

@@ -61,19 +61,16 @@ def cmd_prep(args):
     return 0
 
 
+# config keys map to the annotation of their dataclass field, which names
+# the parser of their value
 TRAIN_KEYS = {f.name: f.type for f in fields(training.TrainConfig)}
 MODEL_KEYS = {f.name: f.type for f in fields(models.ModelConfig)}
-_TUPLE_KEYS = {"frame_hw", "patch_stride", "embed_dims", "blocks", "kv_stride", "stage_stride"}
-
-
-def _parse_value(key, raw):
-    if key in _TUPLE_KEYS:
-        return tuple(int(v) for v in raw.split(","))
-    if key in ("variant", "method", "head"):
-        return raw
-    if key in ("mlp_ratio", "learning_rate", "beta1", "beta2", "eps"):
-        return float(raw)
-    return int(raw)
+_PARSERS = {
+    "tuple": lambda raw: tuple(int(v) for v in raw.split(",")),
+    "float": float,
+    "int": int,
+    "str": str,
+}
 
 
 def read_config_file(path):
@@ -88,11 +85,15 @@ def read_config_file(path):
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in TRAIN_KEYS:
-            train_overrides[key] = _parse_value(key, raw)
+            overrides, kind = train_overrides, TRAIN_KEYS[key]
         elif key in MODEL_KEYS:
-            model_overrides[key] = _parse_value(key, raw)
+            overrides, kind = model_overrides, MODEL_KEYS[key]
         else:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = _PARSERS[kind](raw)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key} ({kind})")
     return train_overrides, model_overrides
 
 
@@ -111,8 +112,7 @@ def cmd_train(args):
     train_overrides, model_overrides = ({}, {})
     if args.config:
         train_overrides, model_overrides = read_config_file(args.config)
-    variant = MODEL_NAMES[args.model]
-    train_overrides["variant"] = variant
+    train_overrides["variant"] = MODEL_NAMES[args.model]
     train_overrides["method"] = args.method
     if args.seed is not None:
         train_overrides["seed"] = args.seed
@@ -120,9 +120,7 @@ def cmd_train(args):
     config.validate()
 
     entries = dataset.load_prepared_manifest(args.manifest)
-    _, h, w, _ = tvf.read_header(entries[0].clip_path)
-    head = "classify-8" if config.method == "indirect" else "regress-1"
-    model_config = models.default_config(variant, head, (h, w))
+    model_config = training.default_model_config(config, entries)
     if model_overrides:
         model_config = replace(model_config, **model_overrides)
     model_config.validate()

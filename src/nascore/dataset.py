@@ -1,10 +1,14 @@
-"""Corpus ingestion: label reduction, the activity score table, frame sampling.
+"""Corpus ingestion: label reduction, the activity score table, the sampling window.
 
 Reduction keeps activities whose total occurrence count clears a threshold
 (50 by default) and keeps only videos carrying exactly one label. The
 "exactly one" rule can be evaluated over all flags (``rule="before"``) or
 only over the retained flags (``rule="after"``); the bundled synthetic
 corpus is constructed so both give the same result.
+
+``sample_indices`` defines the 16 frames each clip contributes. Frames
+reach a model one way only: ``training.load_sampled_clips`` reads them as
+raw u16 counts and ``training._batch_tensor`` divides by ``PIXEL_SCALE``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import tvf
 from .datagen import ACTIVITY_FIELDS, N_ACTIVITIES
@@ -176,13 +178,6 @@ def reduce_labels(records, rule="before", min_count=OCCURRENCE_THRESHOLD) -> Man
     return Manifest(entries=entries, retained_columns=retained, total_before=len(records))
 
 
-@dataclass
-class SampledClip:
-    pixels: np.ndarray  # (16, H, W) float64 in [0, 1]
-    video_id: str
-    frame_indices: tuple
-
-
 def sample_indices(frame_count: int) -> tuple:
     """The 16 frame indices: a centered 672-frame window, stepped by 42."""
     if frame_count < SAMPLE_WINDOW:
@@ -191,20 +186,6 @@ def sample_indices(frame_count: int) -> tuple:
         )
     start = (frame_count - SAMPLE_WINDOW) // 2
     return tuple(start + FRAME_STEP * k for k in range(SAMPLE_FRAMES))
-
-
-def sample_frames(clip: tvf.VideoClip, video_id="") -> SampledClip:
-    indices = sample_indices(clip.frames.shape[0])
-    pixels = clip.frames[list(indices)].astype(np.float64) / PIXEL_SCALE
-    return SampledClip(pixels=pixels, video_id=video_id, frame_indices=indices)
-
-
-def sample_frames_from_file(path, video_id="") -> SampledClip:
-    """Reads just the 16 sampled frames from a TVF file."""
-    t, _, _, _ = tvf.read_header(path)
-    indices = sample_indices(t)
-    pixels = tvf.read_frames(path, indices).astype(np.float64) / PIXEL_SCALE
-    return SampledClip(pixels=pixels, video_id=video_id, frame_indices=indices)
 
 
 PREPARED_HEADER = ["video_id", "class_index", "avg_nas", "clip_path"]
@@ -271,4 +252,6 @@ def load_prepared_manifest(path) -> list:
                     clip_path=(base / row[3]),
                 )
             )
+    if not entries:
+        raise ManifestError(f"{path}: no entries")
     return entries

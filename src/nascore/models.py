@@ -6,7 +6,10 @@ doubles the channel width. micro-r2plus1d: factorized blocks of 2D spatial
 convolution then 1D temporal convolution. micro-cnn-rnn: a shared 2D conv
 encoder per frame feeding a gated recurrent cell.
 
-All variants end in the same head: global average pool, ReLU, dense.
+All variants end in the same head, ReLU then dense. mini-mvit and
+micro-r2plus1d feed it the mean over their token or space-time axes;
+micro-cnn-rnn takes the spatial mean of each frame's features before its
+recurrent cell and feeds the head the final hidden state.
 Parameters live in a flat name -> Tensor dict; forward passes are pure
 functions of (params, batch).
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +271,7 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
     x = ad.permute(x, (0, 1, 3, 5, 2, 4, 6))
     x = ad.reshape(x, (b, gt, gh, gw, pt * ph * pw))
     x = ad.add(ad.matmul(x, weight), bias)
-    x = ad.embedding_add(x, pos_table)
+    x = ad.add(x, pos_table)
     tokens = ad.reshape(x, (b, gt * gh * gw, weight.shape[1]))
     return TokenGrid(tokens=tokens, dims=(gt, gh, gw))
 
@@ -336,7 +339,7 @@ def _forward_mvit(params, x, config, capture):
         if capture is not None:
             capture.append((grid.dims, dim_in))
     tokens = _affine_norm(params, "norm", grid.tokens)
-    pooled = ad.global_average_pool(tokens, axes=(1,))
+    pooled = ad.mean(tokens, axes=(1,))
     return _dense(params, "head", ad.relu(pooled))
 
 
@@ -368,7 +371,7 @@ def _forward_r2plus1d(params, x, config, capture):
         cur = ad.reshape(cur, (b * t, c, h, w))
         c_in = c
     cur = ad.reshape(cur, (b, t, c_in, h, w))
-    pooled = ad.global_average_pool(cur, axes=(1, 3, 4))
+    pooled = ad.mean(cur, axes=(1, 3, 4))
     return _dense(params, "head", ad.relu(pooled))
 
 
@@ -383,7 +386,7 @@ def _forward_cnn_rnn(params, x, config, capture):
             )
         )
     feat_dim = cur.shape[1]
-    feats = ad.reshape(ad.global_average_pool(cur, axes=(2, 3)), (b, t, feat_dim))
+    feats = ad.reshape(ad.mean(cur, axes=(2, 3)), (b, t, feat_dim))
     hid = config.hidden_size
     h_state = ad.zeros((b, hid))
     one = ad.ones((b, hid))
@@ -478,7 +481,7 @@ def load_checkpoint(path) -> Model:
     return model
 
 
-_TUPLE_FIELDS = ("frame_hw", "patch_stride", "embed_dims", "blocks", "kv_stride", "stage_stride")
+_TUPLE_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "tuple")
 
 
 def _config_to_dict(config: ModelConfig) -> dict:

@@ -117,8 +117,6 @@ def loss_indirect(logits, classes):
 def loss_direct(pred, targets):
     """Summed squared error between (B, 1) predictions and score targets."""
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    if pred.shape != t.shape:
-        raise ad.ShapeMismatch("loss_direct", f"{t.shape}", f"{pred.shape}")
     return ad.squared_error_sum(pred, ad.tensor(t))
 
 
@@ -277,6 +275,17 @@ class ExperimentRun:
         )
 
 
+def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:
+    """The default model for ``config`` at the frame size of the first clip.
+
+    The indirect method gets the 8-way classification head, the direct
+    method the single-score regression head.
+    """
+    _, h, w, _ = tvf.read_header(entries[0].clip_path)
+    head = "classify-8" if config.method == "indirect" else "regress-1"
+    return models.default_config(config.variant, head, (h, w))
+
+
 def corpus_digest(manifest_path) -> str:
     return hashlib.sha256(Path(manifest_path).read_bytes()).hexdigest()
 
@@ -302,9 +311,7 @@ def run_experiment(
     entries = dataset.load_prepared_manifest(manifest_path)
     entry_map = {e.video_id: e for e in entries}
     if model_config is None:
-        t, h, w, _ = tvf.read_header(entries[0].clip_path)
-        head = "classify-8" if config.method == "indirect" else "regress-1"
-        model_config = models.default_config(config.variant, head, (h, w))
+        model_config = default_model_config(config, entries)
     splits = stratified_kfold(entries, config.folds, config.seed)
 
     fold_payloads = {}

@@ -87,7 +87,10 @@ def read_frames(path, indices) -> np.ndarray:
         out = np.empty((len(indices), h, w), dtype=np.uint16)
         for row, idx in enumerate(indices):
             fh.seek(_HEADER.size + idx * frame_bytes)
-            out[row] = np.frombuffer(fh.read(frame_bytes), dtype="<u2").reshape(h, w)
+            raw = fh.read(frame_bytes)
+            if len(raw) != frame_bytes:
+                raise TvfError(f"{path}: truncated at frame {idx}")
+            out[row] = np.frombuffer(raw, dtype="<u2").reshape(h, w)
     return out
 
 

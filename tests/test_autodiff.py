@@ -82,6 +82,12 @@ class TestErrors:
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
         assert "expected" in str(exc.value)
 
+    def test_mean_axes_out_of_range(self):
+        x = ad.tensor(np.ones((2, 3)))
+        for axes in ((2,), (-1,), (0, 5)):
+            with pytest.raises(ad.ShapeMismatch, match="axes within rank 2"):
+                ad.mean(x, axes=axes)
+
     def test_non_finite_input(self):
         with pytest.raises(ad.NonFiniteError):
             ad.tensor([1.0, np.inf])

@@ -118,6 +118,39 @@ class TestTrain:
         b = (tmp_path / "r2" / "predictions.json").read_bytes()
         assert a == b
 
+    def test_header_only_manifest_is_one_line_error(self, tmp_path, capsys):
+        manifest = tmp_path / "prepared.csv"
+        manifest.write_text(",".join(dataset.PREPARED_HEADER) + "\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", manifest, "--model", "mvit",
+                       "--method", "indirect", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: no entries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,raw,kind", [
+        ("blocks", "1,x,1", "tuple"),
+        ("learning_rate", "fast", "float"),
+        ("epochs", "abc", "int"),
+    ])
+    def test_bad_config_value_names_line_key_and_type(self, tmp_path, capsys, key, raw, kind):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"folds = 2\n{key} = {raw}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", tmp_path / "prepared.csv", "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        expected = f"error: {config}:2: bad value {raw!r} for {key} ({kind})\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_config_values_parse_by_field_type(self, tmp_path):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 4\nlearning_rate = 0.5\nhead = regress-1\nembed_dims = 4,8\n")
+        train, model = cli.read_config_file(config)
+        assert train == {"epochs": 4, "learning_rate": 0.5}
+        assert model == {"head": "regress-1", "embed_dims": (4, 8)}
+
     def test_unknown_model_is_usage_error(self, mini_pipeline, tmp_path):
         root, prepared, config = mini_pipeline
         with pytest.raises(SystemExit) as exc:

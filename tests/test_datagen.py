@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nascore import datagen, tvf
+from nascore import datagen, dataset, tvf
 
 
 class TestGreedyPairs:
@@ -186,3 +186,14 @@ class TestTvf:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(tvf.TvfError):
             tvf.read_header(path)
+
+    def test_truncated_sampled_read(self, tmp_path):
+        frames = np.zeros((700, 3, 4), dtype=np.uint16)
+        path = tmp_path / "t.tvf"
+        tvf.write_clip(path, tvf.VideoClip(frames=frames))
+        data = path.read_bytes()
+        header = len(data) - frames.nbytes
+        path.write_bytes(data[: header + frames.nbytes // 2])
+        # frames 0..349 survive; the first sampled frame past them is 350
+        with pytest.raises(tvf.TvfError, match="truncated at frame 350"):
+            tvf.read_frames(path, dataset.sample_indices(700))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nascore import datagen, dataset, tvf
+from nascore import datagen, dataset, training, tvf
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +20,14 @@ def single_label_row(video_id, column):
     flags = ["0"] * 23
     flags[column] = "1"
     return ",".join([video_id] + flags)
+
+
+def sampled_clip(directory, video_id, frames):
+    """Writes one clip and reads its sampled frames the way training does."""
+    path = tvf.clip_path(directory, video_id)
+    tvf.write_clip(path, tvf.VideoClip(frames=frames))
+    entry = dataset.PreparedEntry(video_id=video_id, class_index=0, avg_nas=12.07, clip_path=path)
+    return training.load_sampled_clips([entry])
 
 
 class TestLoadLabels:
@@ -164,34 +172,36 @@ class TestSampleFrames:
         assert all(b - a == 42 for a, b in zip(idx, idx[1:]))
         assert idx[-1] < 700
 
-    def test_normalization_extremes(self):
+    def test_normalization_extremes(self, tmp_path):
         frames = np.zeros((680, 4, 4), dtype=np.uint16)
         frames[:, 0, 0] = 65535
-        sampled = dataset.sample_frames(tvf.VideoClip(frames=frames))
-        assert sampled.pixels[0, 0, 0] == 1.0
-        assert sampled.pixels[0, 1, 1] == 0.0
+        clips = sampled_clip(tmp_path, "c", frames)
+        pixels = training._batch_tensor(clips, ["c"]).data[0]
+        assert pixels[0, 0, 0] == 1.0
+        assert pixels[0, 1, 1] == 0.0
 
-    def test_invariant_to_unselected_frames(self):
+    def test_invariant_to_unselected_frames(self, tmp_path):
         rng = np.random.default_rng(5)
         frames = rng.integers(0, 65536, size=(680, 4, 4)).astype(np.uint16)
-        clip = tvf.VideoClip(frames=frames)
-        ref = dataset.sample_frames(clip).pixels.copy()
         selected = set(dataset.sample_indices(680))
         mutated = frames.copy()
         for t in range(680):
             if t not in selected:
                 mutated[t] = 0
-        got = dataset.sample_frames(tvf.VideoClip(frames=mutated)).pixels
+        clips = {**sampled_clip(tmp_path, "a", frames), **sampled_clip(tmp_path, "b", mutated)}
+        ref, got = training._batch_tensor(clips, ["a", "b"]).data
         np.testing.assert_array_equal(got, ref)
 
     def test_file_sampling_matches_full_read(self, tmp_path):
         rng = np.random.default_rng(6)
         frames = rng.integers(0, 65536, size=(690, 6, 8)).astype(np.uint16)
-        path = tmp_path / "c.tvf"
-        tvf.write_clip(path, tvf.VideoClip(frames=frames))
-        a = dataset.sample_frames(tvf.VideoClip(frames=frames)).pixels
-        b = dataset.sample_frames_from_file(path).pixels
-        np.testing.assert_array_equal(a, b)
+        clips = sampled_clip(tmp_path, "c", frames)
+        full = tvf.read_clip(tvf.clip_path(tmp_path, "c")).frames
+        expected = full[list(dataset.sample_indices(690))]
+        assert clips["c"].dtype == np.uint16
+        np.testing.assert_array_equal(clips["c"], expected)
+        pixels = training._batch_tensor(clips, ["c"]).data[0]
+        np.testing.assert_array_equal(pixels, expected / dataset.PIXEL_SCALE)
 
 
 class TestPreparedManifest:

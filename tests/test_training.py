@@ -245,6 +245,12 @@ class TestRunExperiment:
         par = training.run_experiment(tiny_corpus, tiny_train_config(seed=4), jobs=2, **kwargs)
         assert seq.to_json() == par.to_json()
 
+    def test_default_model_config_follows_method_and_first_clip(self, tiny_corpus):
+        entries = dataset.load_prepared_manifest(tiny_corpus)
+        for method, head in (("indirect", "classify-8"), ("direct", "regress-1")):
+            got = training.default_model_config(tiny_train_config(method=method), entries)
+            assert got == models.default_config("mini-mvit", head, (8, 8))
+
     def test_run_dir_artifacts(self, tiny_corpus, tmp_path):
         run_dir = tmp_path / "run"
         training.run_experiment(
