@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification or data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -125,8 +124,9 @@ def cmd_train(args):
         model_config = replace(model_config, **model_overrides)
     model_config.validate()
 
+    # run_experiment creates the run directory once every fold has trained,
+    # so a run that fails leaves nothing behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     run = training.run_experiment(
         args.manifest, config, jobs=args.jobs, model_config=model_config, run_dir=out
     )
@@ -214,12 +214,7 @@ def build_parser():
     p.add_argument("--config", help="key = value overrides for train/model settings")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("NASCORE_JOBS", "1")),
-        help="parallel fold workers (default $NASCORE_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="aggregate run directories into one report")

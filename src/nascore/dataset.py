@@ -14,6 +14,7 @@ raw u16 counts and ``training._batch_tensor`` divides by ``PIXEL_SCALE``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,6 +237,7 @@ def load_prepared_manifest(path) -> list:
     path = Path(path)
     base = path.resolve().parent
     entries = []
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -244,14 +246,25 @@ def load_prepared_manifest(path) -> list:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise ManifestError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            entries.append(
-                PreparedEntry(
-                    video_id=row[0],
-                    class_index=int(row[1]),
-                    avg_nas=float(row[2]),
-                    clip_path=(base / row[3]),
-                )
-            )
+            video_id, class_text, nas_text, clip = row
+            if video_id in seen:
+                raise ManifestError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
+            seen.add(video_id)
+            try:
+                class_index = int(class_text)
+            except ValueError:
+                raise ManifestError(f"{path}:{lineno}: malformed class_index {class_text!r}")
+            if not 0 <= class_index < len(ACTIVITY_TABLE):
+                last = len(ACTIVITY_TABLE) - 1
+                raise ManifestError(f"{path}:{lineno}: class_index {class_index} outside 0..{last}")
+            # nan and inf parse as floats, but would make the training loss non-finite
+            try:
+                avg = float(nas_text)
+            except ValueError:
+                avg = math.nan
+            if not math.isfinite(avg):
+                raise ManifestError(f"{path}:{lineno}: malformed avg_nas {nas_text!r}")
+            entries.append(PreparedEntry(video_id, class_index, avg, base / clip))
     if not entries:
         raise ManifestError(f"{path}: no entries")
     return entries

@@ -3,8 +3,10 @@
 mini-mvit: strided patch embedding into a token grid, then three stages of
 pooling attention; each stage transition halves the spatial grid and
 doubles the channel width. micro-r2plus1d: factorized blocks of 2D spatial
-convolution then 1D temporal convolution. micro-cnn-rnn: a shared 2D conv
-encoder per frame feeding a gated recurrent cell.
+convolution then temporal convolution, the latter a 1x3 conv2d over each
+pixel's (1, T) grid. micro-cnn-rnn: a shared 2D conv encoder per frame
+feeding a gated recurrent cell. Every convolution in these models is a
+conv2d plus bias, then ReLU.
 
 All variants end in the same head, ReLU then dense. mini-mvit and
 micro-r2plus1d feed it the mean over their token or space-time axes;
@@ -206,7 +208,7 @@ def _init_r2plus1d(init, config):
     c_in = 1
     for i, c in enumerate(config.embed_dims):
         init.conv(f"b{i}.spatial", (c, c_in, 3, 3))
-        init.conv(f"b{i}.temporal", (c, c, 3))
+        init.conv(f"b{i}.temporal", (c, c, 1, 3))
         c_in = c
     init.linear("head", c_in, config.head_width)
 
@@ -229,6 +231,11 @@ def _init_cnn_rnn(init, config):
 
 def _dense(params, name, x):
     return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+
+
+def _conv_relu(params, name, x, stride, padding):
+    conv = ad.conv2d(x, params[f"{name}.w"], stride=stride, padding=padding)
+    return ad.relu(ad.add(conv, params[f"{name}.b"]))
 
 
 def _affine_norm(params, name, x):
@@ -349,22 +356,15 @@ def _forward_r2plus1d(params, x, config, capture):
     c_in = 1
     temporal_strides = [1 if i == 0 else 2 for i in range(len(config.embed_dims))]
     for i, c in enumerate(config.embed_dims):
-        cur = ad.relu(
-            ad.add(
-                ad.conv2d(cur, params[f"b{i}.spatial.w"], stride=(2, 2), padding=(1, 1)),
-                params[f"b{i}.spatial.b"],
-            )
-        )
+        cur = _conv_relu(params, f"b{i}.spatial", cur, stride=(2, 2), padding=(1, 1))
         h, w = cur.shape[2], cur.shape[3]
         cur = ad.reshape(cur, (b, t, c, h, w))
-        cur = ad.reshape(ad.permute(cur, (0, 3, 4, 2, 1)), (b * h * w, c, t))
-        cur = ad.relu(
-            ad.add(
-                ad.conv1d(cur, params[f"b{i}.temporal.w"], stride=temporal_strides[i], padding=1),
-                params[f"b{i}.temporal.b"],
-            )
+        # the temporal conv runs over a (1, T) grid with a 1x3 kernel
+        cur = ad.reshape(ad.permute(cur, (0, 3, 4, 2, 1)), (b * h * w, c, 1, t))
+        cur = _conv_relu(
+            params, f"b{i}.temporal", cur, stride=(1, temporal_strides[i]), padding=(0, 1)
         )
-        t = cur.shape[2]
+        t = cur.shape[3]
         cur = ad.permute(ad.reshape(cur, (b, h, w, c, t)), (0, 4, 3, 1, 2))
         if capture is not None:
             capture.append(((t, h, w), c))
@@ -379,12 +379,7 @@ def _forward_cnn_rnn(params, x, config, capture):
     b, t, h, w = x.shape
     cur = ad.reshape(x, (b * t, 1, h, w))
     for i in range(len(config.embed_dims)):
-        cur = ad.relu(
-            ad.add(
-                ad.conv2d(cur, params[f"enc{i}.w"], stride=(2, 2), padding=(1, 1)),
-                params[f"enc{i}.b"],
-            )
-        )
+        cur = _conv_relu(params, f"enc{i}", cur, stride=(2, 2), padding=(1, 1))
     feat_dim = cur.shape[1]
     feats = ad.reshape(ad.mean(cur, axes=(2, 3)), (b, t, feat_dim))
     hid = config.hidden_size
@@ -463,22 +458,47 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
+    """Reads a checkpoint, checked against the model its config builds.
+
+    The stored parameters must have the names and shapes that ``build_model``
+    gives the config and lie back to back in the payload, which holds
+    exactly their values; anything else raises ``ConfigError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    config = _config_from_dict(header["config"])
+        try:
+            (header_len,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(header_len).decode())
+            config = _config_from_dict(header["config"])
+            index = header["params"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: unreadable checkpoint header ({exc})")
+        payload = fh.read()
+    expected = build_model(config).params
+    offset = 0
+    for item in index:
+        name, shape = item["name"], tuple(item["shape"])
+        if name not in expected:
+            raise ConfigError(f"{path}: unexpected parameter {name!r} for {config.variant}")
+        want = expected.pop(name).shape
+        if shape != want:
+            raise ConfigError(f"{path}: parameter {name!r} has shape {shape}, expected {want}")
+        if item["offset"] != offset:
+            raise ConfigError(f"{path}: parameter {name!r} at offset {item['offset']}, not {offset}")
+        offset += int(np.prod(shape))
+    if expected:
+        raise ConfigError(f"{path}: parameter {next(iter(expected))!r} missing")
+    if len(payload) != 8 * offset:
+        raise ConfigError(f"{path}: payload holds {len(payload)} bytes, expected {8 * offset}")
+    flat = np.frombuffer(payload, dtype="<f8")
     params = {}
-    for item in header["params"]:
-        size = int(np.prod(item["shape"])) if item["shape"] else 1
-        arr = flat[item["offset"] : item["offset"] + size].reshape(item["shape"])
+    for item in index:
+        start = item["offset"]
+        arr = flat[start : start + int(np.prod(item["shape"]))].reshape(item["shape"])
         params[item["name"]] = ad.tensor(arr, requires_grad=True)
-    model = Model(config=config, params=params)
-    model.config.validate()
-    return model
+    return Model(config=config, params=params)
 
 
 _TUPLE_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "tuple")

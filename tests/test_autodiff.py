@@ -46,6 +46,24 @@ class TestForwardValues:
         out = ad.conv2d(x, w, stride=(1, 1), padding=(0, 0))
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_height_one_conv2d_is_1d_correlation(self, stride):
+        # the temporal conv of micro-r2plus1d: a 1xk kernel over a (1, T) grid
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 1, 7))
+        w = rng.standard_normal((4, 3, 1, 3))
+        out = ad.conv2d(ad.tensor(x), ad.tensor(w), stride=(1, stride), padding=(0, 1)).data
+        xp = np.pad(x[:, :, 0], ((0, 0), (0, 0), (1, 1)))
+        n_out = (7 + 2 - 3) // stride + 1
+        expected = np.zeros((2, 4, n_out))
+        for b in range(2):
+            for o in range(4):
+                for j in range(n_out):
+                    window = xp[b, :, j * stride : j * stride + 3]
+                    expected[b, o, j] = np.sum(window * w[o, :, 0])
+        assert out.shape == (2, 4, 1, n_out)
+        np.testing.assert_allclose(out[:, :, 0], expected, rtol=1e-12, atol=1e-12)
+
     def test_cross_entropy_matches_log_softmax(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((4, 8))

@@ -128,6 +128,40 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {manifest}: no entries\n"
         assert not out.exists()
 
+    def test_geometry_override_mismatch_leaves_no_run_directory(
+        self, mini_pipeline, tmp_path, capsys
+    ):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nfolds = 2\nframe_hw = 12,12\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: expected batch of (16, 12, 12) frames, got (16, 8, 8)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("b,x,12.07,b.tvf", "malformed class_index 'x'"),
+        ("b,0,many,b.tvf", "malformed avg_nas 'many'"),
+        ("b,0,nan,b.tvf", "malformed avg_nas 'nan'"),
+        ("b,8,12.07,b.tvf", "class_index 8 outside 0..7"),
+        ("b,-1,12.07,b.tvf", "class_index -1 outside 0..7"),
+        ("a,1,2.80,a.tvf", "duplicate video_id 'a'"),
+    ])
+    def test_bad_manifest_row_is_one_line_error(self, tmp_path, capsys, row, message):
+        manifest = tmp_path / "prepared.csv"
+        manifest.write_text(
+            ",".join(dataset.PREPARED_HEADER) + "\n" + "a,0,12.07,a.tvf\n" + row + "\n"
+        )
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", manifest, "--model", "mvit",
+                       "--method", "indirect", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}:3: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,raw,kind", [
         ("blocks", "1,x,1", "tuple"),
         ("learning_rate", "fast", "float"),

@@ -212,3 +212,42 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(models.ConfigError):
             models.load_checkpoint(path)
+
+    def test_rejects_truncated_payload(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(models.build_model(micro_config("micro-cnn-rnn")), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-12])
+        with pytest.raises(models.ConfigError, match="payload holds"):
+            models.load_checkpoint(path)
+        path.write_bytes(data[:20])
+        with pytest.raises(models.ConfigError, match="unreadable checkpoint header"):
+            models.load_checkpoint(path)
+
+    def test_rejects_old_temporal_weight_shape(self, tmp_path):
+        # r2plus1d once stored its temporal conv weights as (c, c, 3)
+        model = models.build_model(micro_config("micro-r2plus1d"))
+        old = {}
+        for name, p in model.params.items():
+            shape = p.shape[:-2] + p.shape[-1:] if ".temporal." in name else p.shape
+            old[name] = ad.tensor(p.data.reshape(shape))
+        path = tmp_path / "old.ckpt"
+        models.save_checkpoint(models.Model(config=model.config, params=old), path)
+        with pytest.raises(models.ConfigError) as exc:
+            models.load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: parameter 'b0.temporal.w' has shape (4, 4, 3), expected (4, 4, 1, 3)"
+        )
+
+    def test_rejects_missing_and_unexpected_parameters(self, tmp_path):
+        model = models.build_model(micro_config("micro-cnn-rnn"))
+        path = tmp_path / "model.ckpt"
+        params = dict(model.params)
+        del params["head.b"]
+        models.save_checkpoint(models.Model(config=model.config, params=params), path)
+        with pytest.raises(models.ConfigError, match="'head.b' missing"):
+            models.load_checkpoint(path)
+        params["extra"] = ad.tensor(np.zeros(2))
+        models.save_checkpoint(models.Model(config=model.config, params=params), path)
+        with pytest.raises(models.ConfigError, match="unexpected parameter 'extra'"):
+            models.load_checkpoint(path)
