@@ -6,6 +6,13 @@ op records a graph node when gradients are required; the tape order (node
 creation order) is a valid topological order, so ``backward`` walks nodes
 by descending id. ``grad_check`` compares analytic gradients of any op
 against central finite differences.
+
+An op's forward returns its output array, or ``(out, residual)`` when its
+vjp reuses intermediates of the forward (``pooled_attention`` saves its
+softmax weights this way). Only ``out`` becomes the tensor; the residual
+rides on the graph node, so it is dropped at once when no node is recorded
+and freed with the node after ``backward``. The vjp gets back the same
+pair as its ``out`` argument.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ class OpNode:
     kind: str
     inputs: tuple
     attrs: dict
+    residual: object = None
 
 
 class Tensor:
@@ -104,7 +112,7 @@ def _require_finite(arr, where):
     # a single-pass reduction is cheaper than isfinite().all(); NaN and
     # +-inf both poison the sum. The sum itself can overflow on huge finite
     # values, so confirm with the exact check before raising.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         fast = float(arr.sum()) if arr.size else 0.0
     if not math.isfinite(fast) and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {where}")
@@ -131,9 +139,9 @@ def _broadcastable(a, b):
 # ---------------------------------------------------------------------------
 # op registry: kind -> (forward, vjp)
 #
-# forward(arrays, attrs) -> output array
+# forward(arrays, attrs) -> output array, or (output array, residual)
 # vjp(grad, arrays, out, attrs) -> tuple of per-input gradients (None where
-# an input needs no gradient contribution)
+# an input needs no gradient contribution); ``out`` is what forward returned
 # ---------------------------------------------------------------------------
 
 _OPS = {}
@@ -194,17 +202,6 @@ class _Multiply:
     def vjp(g, xs, out, attrs):
         a, b = xs
         return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
-
-
-@_register("scalar_multiply")
-class _ScalarMultiply:
-    @staticmethod
-    def forward(xs, attrs):
-        return xs[0] * attrs["value"]
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        return (g * attrs["value"],)
 
 
 @_register("matmul")
@@ -339,23 +336,6 @@ class _Tanh:
         return (g * (1.0 - out * out),)
 
 
-@_register("softmax")
-class _Softmax:
-    @staticmethod
-    def forward(xs, attrs):
-        x = xs[0]
-        axis = attrs["axis"]
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        axis = attrs["axis"]
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-
 @_register("layer_norm")
 class _LayerNorm:
     """Normalizes the last axis to zero mean, unit variance (no affine)."""
@@ -380,6 +360,71 @@ class _LayerNorm:
         gm = g.mean(axis=-1, keepdims=True)
         gxm = (g * xhat).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - xhat * gxm),)
+
+
+def _split_heads(x, heads):
+    """(B, N, C) -> contiguous (B, heads, N, C // heads)."""
+    b, n, c = x.shape
+    return np.ascontiguousarray(x.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3))
+
+
+def _merge_heads(x):
+    """(B, heads, N, d) -> contiguous (B, N, heads * d)."""
+    b, h, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+
+@_register("pooled_attention")
+class _PooledAttention:
+    """Multi-head attention softmax(q k^T / sqrt(d)) v of q (B, Nq, C) over
+    k, v (B, Nk, C); the heads split C into equal slices of width d.
+
+    The forward keeps (q heads, k^T, v heads, softmax weights) as its
+    residual, so the vjp does not recompute the weights. The matmul
+    operands have the layouts the unfused reshape/permute chain gave them,
+    so the results match that chain bit for bit.
+    """
+
+    @staticmethod
+    def forward(xs, attrs):
+        q, k, v = xs
+        heads = attrs["heads"]
+        if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+            raise ShapeMismatch(
+                "pooled_attention", "rank-3 (B,N,C) q, k, v", f"{q.shape}, {k.shape}, {v.shape}"
+            )
+        b, nq, c = q.shape
+        if any(t.shape[0] != b or t.shape[2] != c for t in (k, v)):
+            raise ShapeMismatch(
+                "pooled_attention", f"batch {b} and width {c} for k, v", f"{k.shape}, {v.shape}"
+            )
+        if k.shape[1] != v.shape[1]:
+            raise ShapeMismatch("pooled_attention", f"{k.shape[1]} value tokens", f"{v.shape[1]}")
+        if heads < 1 or c % heads != 0:
+            raise ShapeMismatch("pooled_attention", f"width divisible by {heads} heads", f"{c}")
+        qh, vh = _split_heads(q, heads), _split_heads(v, heads)
+        kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 1, 3, 2))
+        w = qh @ kt
+        w *= 1.0 / math.sqrt(c // heads)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return _merge_heads(w @ vh), (qh, kt, vh, w)
+
+    @staticmethod
+    def vjp(g, xs, out, attrs):
+        _, (qh, kt, vh, w) = out
+        b, h, nq, d = qh.shape
+        gc = g.reshape(b, nq, h, d).transpose(0, 2, 1, 3)
+        gv = np.swapaxes(w, -1, -2) @ gc
+        gw = gc @ np.swapaxes(vh, -1, -2)
+        # softmax vjp, then the 1/sqrt(d) scale, in place
+        gw -= (gw * w).sum(axis=-1, keepdims=True)
+        gw *= w
+        gw *= 1.0 / math.sqrt(d)
+        gq = gw @ np.swapaxes(kt, -1, -2)
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
+        return _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
 
 
 def _conv_out(n, k, s, p):
@@ -592,9 +637,12 @@ def apply(kind, inputs, attrs=None):
     arrays = tuple(t.data for t in inputs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = _OPS[kind].forward(arrays, attrs)
+    residual = None
+    if isinstance(out, tuple):
+        out, residual = out
     _require_finite(out, f"{kind} output")
     requires = any(t.requires_grad for t in inputs)
-    node = OpNode(kind, tuple(inputs), attrs) if requires else None
+    node = OpNode(kind, tuple(inputs), attrs, residual) if requires else None
     return Tensor(out, requires_grad=requires, _op=node, _checked=True)
 
 
@@ -633,7 +681,8 @@ def backward(loss):
                 g.flags.writeable = False
                 t.grad = g
             continue
-        input_grads = _OPS[t.op.kind].vjp(g, tuple(i.data for i in t.op.inputs), t.data, t.op.attrs)
+        out = t.data if t.op.residual is None else (t.data, t.op.residual)
+        input_grads = _OPS[t.op.kind].vjp(g, tuple(i.data for i in t.op.inputs), out, t.op.attrs)
         for inp, ig in zip(t.op.inputs, input_grads):
             if ig is None or not (inp.requires_grad or inp.op is not None):
                 continue
@@ -686,11 +735,15 @@ def grad_check(kind, shapes, seed, attrs=None):
     attrs = {} if attrs is None else attrs
     rng = np.random.default_rng(seed)
     arrays = _seeded_inputs(kind, shapes, rng)
-    out_probe = _OPS[kind].forward(tuple(arrays), attrs)
-    weights = rng.standard_normal(out_probe.shape)
+
+    def value(arrs):
+        out = _OPS[kind].forward(tuple(arrs), attrs)
+        return out[0] if isinstance(out, tuple) else out
+
+    weights = rng.standard_normal(value(arrays).shape)
 
     def objective(arrs):
-        return float((_OPS[kind].forward(tuple(arrs), attrs) * weights).sum())
+        return float((value(arrs) * weights).sum())
 
     tensors = [tensor(a, requires_grad=True) for a in arrays]
     out = apply(kind, tensors, attrs)
@@ -722,7 +775,8 @@ GRADCHECK_SUITE = (
     ("add", ((3, 4), (4,)), None),
     ("subtract", ((3, 4), (3, 4)), None),
     ("multiply", ((3, 4), (3, 4)), None),
-    ("scalar_multiply", ((3, 4),), {"value": 1.7}),
+    # attention with fewer key/value tokens than queries, as after kv pooling
+    ("pooled_attention", ((2, 6, 4), (2, 3, 4), (2, 3, 4)), {"heads": 2}),
     ("matmul", ((3, 4), (4, 2)), None),
     ("matmul", ((2, 3, 4), (2, 4, 2)), None),
     ("matmul", ((2, 3, 4), (4, 2)), None),
@@ -733,8 +787,8 @@ GRADCHECK_SUITE = (
     ("relu", ((8,),), None),
     ("sigmoid", ((6,),), None),
     ("tanh", ((6,),), None),
-    ("softmax", ((5,),), {"axis": 0}),
-    ("softmax", ((3, 4),), {"axis": 1}),
+    ("pooled_attention", ((2, 5, 3), (2, 4, 3), (2, 4, 3)), {"heads": 1}),
+    ("pooled_attention", ((1, 4, 6), (1, 4, 6), (1, 4, 6)), {"heads": 3}),
     ("layer_norm", ((4,),), None),
     ("layer_norm", ((2, 5),), None),
     ("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3)), {"stride": (2, 2), "padding": (1, 1)}),
@@ -769,10 +823,6 @@ def multiply(a, b):
     return apply("multiply", (a, b))
 
 
-def scalar_multiply(a, value):
-    return apply("scalar_multiply", (a,), {"value": float(value)})
-
-
 def matmul(a, b):
     return apply("matmul", (a, b))
 
@@ -805,8 +855,8 @@ def tanh(a):
     return apply("tanh", (a,))
 
 
-def softmax(a, axis):
-    return apply("softmax", (a,), {"axis": axis})
+def pooled_attention(q, k, v, heads):
+    return apply("pooled_attention", (q, k, v), {"heads": int(heads)})
 
 
 def layer_norm(a, epsilon=1e-5):

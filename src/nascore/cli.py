@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import datagen, dataset, metrics, models, training, tvf, verify
+from . import autodiff, datagen, dataset, metrics, models, training, tvf, verify
 
 MODEL_NAMES = {
     "mvit": "mini-mvit",
@@ -145,7 +145,7 @@ def cmd_eval(args):
         pred_path = Path(run_dir) / "predictions.json"
         if not pred_path.exists():
             raise CliError(f"{run_dir}: no predictions.json (not a run directory?)")
-        run = training.ExperimentRun.from_json(pred_path.read_text())
+        run = training.ExperimentRun.from_json(pred_path.read_text(), source=pred_path)
         key = (run.variant, run.method)
         if key in results:
             raise CliError(f"duplicate run for {run.variant}/{run.method}")
@@ -235,6 +235,7 @@ def main(argv=None):
         return args.func(args)
     except (
         CliError,
+        autodiff.AutodiffError,
         dataset.ManifestError,
         dataset.ReductionError,
         dataset.TooShortClipError,

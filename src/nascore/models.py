@@ -285,32 +285,13 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
 
 def pooling_attention(params, prefix, grid: TokenGrid, heads, kv_stride, q_stride):
     """Multi-head attention with average-pooled keys/values (and queries at
-    stage transitions); the pooled query tensor is added back before the
-    output projection."""
+    stage transitions), run as one fused ``pooled_attention`` op; the pooled
+    query tensor is added back before the output projection."""
     x, dims = grid.tokens, grid.dims
-    b, _, _ = x.shape
-    dim_out = params[f"{prefix}.q.w"].shape[1]
-    if dim_out % heads != 0:
-        raise ConfigError(f"width {dim_out} not divisible by {heads} heads")
-    d = dim_out // heads
-
     q, q_dims = _pool_tokens(_dense(params, f"{prefix}.q", x), dims, q_stride)
     k, _ = _pool_tokens(_dense(params, f"{prefix}.k", x), dims, kv_stride)
     v, _ = _pool_tokens(_dense(params, f"{prefix}.v", x), dims, kv_stride)
-
-    def split(t):
-        n = t.shape[1]
-        return ad.permute(ad.reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = ad.scalar_multiply(
-        ad.matmul(qh, ad.permute(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(d)
-    )
-    weights = ad.softmax(scores, axis=3)
-    ctx = ad.matmul(weights, vh)
-    nq = q.shape[1]
-    merged = ad.reshape(ad.permute(ctx, (0, 2, 1, 3)), (b, nq, dim_out))
-    out = ad.add(merged, q)
+    out = ad.add(ad.pooled_attention(q, k, v, heads), q)
     out = _dense(params, f"{prefix}.proj", out)
     return TokenGrid(tokens=out, dims=q_dims)
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,10 @@ from .datagen import stable_seed
 
 class NonFiniteGradError(RuntimeError):
     pass
+
+
+class RunFileError(ValueError):
+    """A predictions.json this version cannot read."""
 
 
 METHODS = ("indirect", "direct")
@@ -250,9 +254,11 @@ class ExperimentRun:
     corpus_digest: str
     folds: list  # fold dicts in fold-index order
 
+    SCHEMA = 1
+
     def to_json(self):
         payload = {
-            "schema": 1,
+            "schema": self.SCHEMA,
             "variant": self.variant,
             "method": self.method,
             "train_config": self.train_config,
@@ -263,16 +269,21 @@ class ExperimentRun:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            variant=d["variant"],
-            method=d["method"],
-            train_config=d["train_config"],
-            model_config=d["model_config"],
-            corpus_digest=d["corpus_digest"],
-            folds=d["folds"],
-        )
+    def from_json(cls, text, source="run file"):
+        """Parses ``to_json`` output; ``source`` names the file in errors."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise RunFileError(f"{source}: not JSON ({exc})") from None
+        if not isinstance(d, dict):
+            raise RunFileError(f"{source}: expected a JSON object")
+        if d.get("schema", cls.SCHEMA) != cls.SCHEMA:
+            raise RunFileError(f"{source}: unknown schema {d['schema']!r}, expected {cls.SCHEMA}")
+        names = [f.name for f in fields(cls)]
+        for key in ("schema", *names):
+            if key not in d:
+                raise RunFileError(f"{source}: missing key {key!r}")
+        return cls(**{name: d[name] for name in names})
 
 
 def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:

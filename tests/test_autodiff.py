@@ -25,6 +25,19 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def attention_weights(q, k, heads):
+    """The (B, heads, Nq, Nk) softmax weights of pooled_attention.
+
+    Each head's slice of v is the Nk x Nk identity (so the head width must
+    equal Nk), which makes the context equal to the weights.
+    """
+    b, nq, _ = q.shape
+    nk = k.shape[1]
+    v = np.tile(np.eye(nk), (b, 1, heads))
+    ctx = ad.pooled_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), heads).data
+    return ctx.reshape(b, nq, heads, nk).transpose(0, 2, 1, 3)
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -36,8 +49,14 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.5])
 
     def test_softmax_symmetry(self):
-        out = ad.softmax(ad.tensor([0.0, 0.0]), axis=0)
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        # equal keys get equal weights, so every query reads the mean of v
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((2, 3, 4))
+        k = np.broadcast_to(rng.standard_normal((2, 1, 4)), (2, 4, 4))
+        v = rng.integers(-8, 8, size=(2, 4, 4)).astype(float)
+        out = ad.pooled_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), heads=2)
+        expected = np.broadcast_to(v.mean(axis=1, keepdims=True), (2, 3, 4))
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_conv2d_ones(self):
         # 3x3 ones convolved with a 2x2 ones kernel: every window sums 4
@@ -84,10 +103,42 @@ class TestForwardValues:
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 6))
-        a = ad.softmax(ad.tensor(x), axis=1).data
-        b = ad.softmax(ad.tensor(x), axis=1).data
+        q, k, v = (ad.tensor(rng.standard_normal((2, n, 6))) for n in (5, 3, 3))
+        a = ad.pooled_attention(q, k, v, heads=2).data
+        b = ad.pooled_attention(q, k, v, heads=2).data
         np.testing.assert_array_equal(a, b)
+
+    def test_pooled_attention_matches_numpy_composition(self):
+        rng = np.random.default_rng(6)
+        heads, d = 2, 3
+        q = rng.standard_normal((2, 5, heads * d))
+        k = rng.standard_normal((2, 4, heads * d))
+        v = rng.standard_normal((2, 4, heads * d))
+        g = rng.standard_normal((2, 5, heads * d))
+
+        # per batch item and head: scaled scores, row softmax, context, and
+        # the hand-derived gradients of sum(ctx * g)
+        ctx = np.zeros_like(q)
+        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for b in range(2):
+            for h in range(heads):
+                cols = slice(h * d, (h + 1) * d)
+                qs, ks, vs, gs = q[b][:, cols], k[b][:, cols], v[b][:, cols], g[b][:, cols]
+                scores = qs @ ks.T / np.sqrt(d)
+                e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                p = e / e.sum(axis=1, keepdims=True)
+                ctx[b][:, cols] = p @ vs
+                gp = gs @ vs.T
+                gscores = p * (gp - (gp * p).sum(axis=1, keepdims=True)) / np.sqrt(d)
+                gq[b][:, cols] = gscores @ ks
+                gk[b][:, cols] = gscores.T @ qs
+                gv[b][:, cols] = p.T @ gs
+
+        tq, tk, tv = (ad.tensor(a, requires_grad=True) for a in (q, k, v))
+        out = ad.pooled_attention(tq, tk, tv, heads)
+        ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+        for got, expected in ((out.data, ctx), (tq.grad, gq), (tk.grad, gk), (tv.grad, gv)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestErrors:
@@ -99,6 +150,18 @@ class TestErrors:
         with pytest.raises(ad.ShapeMismatch) as exc:
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
         assert "expected" in str(exc.value)
+
+    @pytest.mark.parametrize("shapes,heads,expected", [
+        (((2, 3), (2, 3, 4), (2, 3, 4)), 2, "rank-3"),
+        (((2, 3, 4), (1, 3, 4), (1, 3, 4)), 2, "batch 2 and width 4"),
+        (((2, 3, 4), (2, 3, 6), (2, 3, 6)), 2, "batch 2 and width 4"),
+        (((2, 3, 4), (2, 3, 4), (2, 2, 4)), 2, "3 value tokens"),
+        (((2, 3, 6), (2, 3, 6), (2, 3, 6)), 4, "width divisible by 4 heads"),
+    ], ids=["rank", "batch", "width", "tokens", "heads"])
+    def test_pooled_attention_shapes(self, shapes, heads, expected):
+        q, k, v = (ad.tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ad.ShapeMismatch, match=expected):
+            ad.pooled_attention(q, k, v, heads)
 
     def test_mean_axes_out_of_range(self):
         x = ad.tensor(np.ones((2, 3)))
@@ -195,6 +258,17 @@ class TestBackward:
         out = ad.add(a, b)
         assert out.op is None and not out.requires_grad
 
+    def test_pooled_attention_residual_lives_on_the_node(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal((1, 3, 4)) for _ in range(3)]
+        out = ad.pooled_attention(*(ad.tensor(a) for a in arrays), heads=2)
+        assert out.op is None and not out.requires_grad
+        q = ad.tensor(arrays[0], requires_grad=True)
+        out = ad.pooled_attention(q, *(ad.tensor(a) for a in arrays[1:]), heads=2)
+        assert out.op.residual is not None
+        ad.backward(ad.sum_(out))
+        assert out.op is None and q.grad.shape == (1, 3, 4)
+
 
 class TestGradCheck:
     def test_relu_clean_inputs(self):
@@ -204,7 +278,10 @@ class TestGradCheck:
         assert ad.grad_check("matmul", [(3, 4), (4, 2)], seed=1).max_rel_err < 1e-4
 
     def test_softmax_example(self):
-        assert ad.grad_check("softmax", [(5,)], seed=2, attrs={"axis": 0}).max_rel_err < 1e-4
+        # the attention softmax, its scale and both matmuls, in one op
+        report = ad.grad_check("pooled_attention", [(1, 3, 4), (1, 5, 4), (1, 5, 4)], seed=2,
+                               attrs={"heads": 2})
+        assert report.max_rel_err < 1e-4
 
     @pytest.mark.parametrize("kind,shapes,attrs", ad.GRADCHECK_SUITE)
     def test_all_ops_five_seeds(self, kind, shapes, attrs):
@@ -220,20 +297,23 @@ class TestProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_softmax_rows_sum_to_one(self, seed):
-        # logit gaps are kept below ~37: beyond that the dominant entry
-        # rounds to exactly 1.0 in float64 and the open interval is
-        # unrepresentable
+        # scaled logits stay within +-sqrt(7) * 4 < 11, so logit gaps stay
+        # below ~37: beyond that the dominant entry rounds to exactly 1.0 in
+        # float64 and the open interval is unrepresentable
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-15, 15, size=(4, 7))
-        out = ad.softmax(ad.tensor(x), axis=1).data
+        q = rng.uniform(-2, 2, size=(2, 4, 14))
+        k = rng.uniform(-2, 2, size=(2, 7, 14))
+        out = attention_weights(q, k, heads=2)
         assert np.all(out > 0.0) and np.all(out < 1.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_softmax_extreme_logits_stay_normalized(self):
-        x = np.array([[700.0, -700.0, 0.0]])
-        out = ad.softmax(ad.tensor(x), axis=1).data
+        # one query, three keys, d = 3: scaled logits of about 700, -700, 0
+        q = np.array([[[1.0, 0.0, 0.0]]])
+        k = np.array([[[700.0, 0.0, 0.0], [-700.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]) * np.sqrt(3)
+        out = attention_weights(q, k, heads=1)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -142,6 +142,18 @@ class TestTrain:
         assert err == "error: expected batch of (16, 12, 12) frames, got (16, 8, 8)\n"
         assert not out.exists()
 
+    def test_overflowing_run_is_one_line_error(self, mini_pipeline, tmp_path, capsys, recwarn):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text("learning_rate = 1e200\nepochs = 2\nfolds = 2\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                       "--method", "direct", "--config", config, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite values in conv2d output\n"
+        assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("row,message", [
         ("b,x,12.07,b.tvf", "malformed class_index 'x'"),
         ("b,0,many,b.tvf", "malformed avg_nas 'many'"),
@@ -234,6 +246,20 @@ class TestEval:
         run2 = self.make_run(mini_pipeline, tmp_path, "rb", "cnnrnn", "direct", manifest=prepared2)
         code = run_cli("eval", "--runs", run1, run2, "--out", tmp_path / "rep.json")
         assert code == 1
+
+    @pytest.mark.parametrize("payload,message", [
+        ({}, "missing key 'schema'"),
+        ({"schema": 99, "variant": "mini-mvit"}, "unknown schema 99, expected 1"),
+        ({"schema": 1, "variant": "mini-mvit"}, "missing key 'method'"),
+    ], ids=["empty", "schema", "key"])
+    def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "predictions.json").write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--runs", run, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {run / 'predictions.json'}: {message}\n"
+        assert not out.exists()
 
     def test_duplicate_model_method_refused(self, mini_pipeline, tmp_path):
         run1 = self.make_run(mini_pipeline, tmp_path, "rc", "mvit", "indirect")
