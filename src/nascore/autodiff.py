@@ -4,14 +4,17 @@ The operation set is fixed: it covers exactly what the three video models
 need (dense/conv layers, pooling attention, the two losses). Every forward
 op records a graph node when gradients are required; the tape order (node
 creation order) is a valid topological order, so ``backward`` walks nodes
-by descending id. ``grad_check`` compares analytic gradients of any op
-against central finite differences.
+by descending id. It returns the gradients of the requires_grad leaves
+only, and consumes the tape as it walks: each tensor drops its node when
+passed, so activations, residuals and gradients are freed as soon as no
+later vjp needs them. ``grad_check`` compares analytic gradients of any
+op against central finite differences.
 
 An op's forward returns its output array, or ``(out, residual)`` when its
 vjp reuses intermediates of the forward (``pooled_attention`` saves its
 softmax weights this way). Only ``out`` becomes the tensor; the residual
 rides on the graph node, so it is dropped at once when no node is recorded
-and freed with the node after ``backward``. The vjp gets back the same
+and freed with the node during ``backward``. The vjp gets back the same
 pair as its ``out`` argument.
 """
 
@@ -61,11 +64,10 @@ class OpNode:
 class Tensor:
     """Immutable n-d array of float64, optionally tracked on the tape.
 
-    ``grad`` is populated on requires_grad leaves by ``backward``;
     ``node_id`` orders tensors by creation and keys the gradient map.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "op")
+    __slots__ = ("data", "requires_grad", "node_id", "op")
 
     def __init__(self, data, requires_grad=False, _op=None, _checked=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -76,7 +78,6 @@ class Tensor:
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.node_id = next(_node_counter)
         self.op = _op
 
@@ -108,13 +109,18 @@ def ones(shape):
     return Tensor(np.ones(shape), _checked=True)
 
 
-def _require_finite(arr, where):
+def all_finite(arr):
+    """True when no value of ``arr`` is NaN or +-inf."""
     # a single-pass reduction is cheaper than isfinite().all(); NaN and
     # +-inf both poison the sum. The sum itself can overflow on huge finite
-    # values, so confirm with the exact check before raising.
+    # values, or meet inf + -inf, so confirm with the exact check.
     with np.errstate(over="ignore", invalid="ignore"):
         fast = float(arr.sum()) if arr.size else 0.0
-    if not math.isfinite(fast) and not np.isfinite(arr).all():
+    return math.isfinite(fast) or bool(np.isfinite(arr).all())
+
+
+def _require_finite(arr, where):
+    if not all_finite(arr):
         raise NonFiniteError(f"non-finite values in {where}")
 
 
@@ -140,8 +146,8 @@ def _broadcastable(a, b):
 # op registry: kind -> (forward, vjp)
 #
 # forward(arrays, attrs) -> output array, or (output array, residual)
-# vjp(grad, arrays, out, attrs) -> tuple of per-input gradients (None where
-# an input needs no gradient contribution); ``out`` is what forward returned
+# vjp(grad, arrays, out, attrs) -> tuple of per-input gradients; ``out`` is
+# what forward returned
 # ---------------------------------------------------------------------------
 
 _OPS = {}
@@ -647,53 +653,47 @@ def apply(kind, inputs, attrs=None):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(node) for every tensor reachable from ``loss``.
+    """Gradients of the scalar ``loss`` with respect to the leaves it reaches.
 
-    Returns a map node_id -> gradient Tensor. Populates ``grad`` on every
-    requires_grad leaf in the graph, then consumes the graph (the visited
-    tensors drop their op records, so a second backward raises).
+    Returns a map node_id -> gradient Tensor with one entry per
+    requires_grad leaf the loss reaches; intermediate gradients are not
+    kept. The tape is consumed as it is walked: each tensor drops its op
+    record when the walk passes it, so a second backward raises.
     """
     if loss.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.op is None:
         raise GraphError("backward on an empty graph (loss records no ops)")
 
-    visited = {}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if t.node_id in visited:
-            continue
-        visited[t.node_id] = t
-        if t.op is not None:
-            stack.extend(t.op.inputs)
+    # ``seen`` keeps ids, so a tensor popped from ``order`` is held by nothing here
+    order = [loss]
+    seen = {loss.node_id}
+    for t in order:
+        for inp in t.op.inputs if t.op is not None else ():
+            if inp.requires_grad and inp.node_id not in seen:
+                seen.add(inp.node_id)
+                order.append(inp)
+    order.sort(key=lambda v: v.node_id)
 
     grads = {loss.node_id: np.ones(())}
-    result = {}
-    for t in sorted(visited.values(), key=lambda v: v.node_id, reverse=True):
-        g = grads.pop(t.node_id, None)
-        if g is None:
+    leaf_grads = {}
+    while order:
+        t = order.pop()
+        op, t.op = t.op, None
+        g = grads.pop(t.node_id)
+        if op is None:
+            leaf_grads[t.node_id] = Tensor(g, _checked=True)
             continue
-        result[t.node_id] = g
-        if t.op is None:
-            if t.requires_grad:
-                g = np.asarray(g)
-                g.flags.writeable = False
-                t.grad = g
-            continue
-        out = t.data if t.op.residual is None else (t.data, t.op.residual)
-        input_grads = _OPS[t.op.kind].vjp(g, tuple(i.data for i in t.op.inputs), out, t.op.attrs)
-        for inp, ig in zip(t.op.inputs, input_grads):
-            if ig is None or not (inp.requires_grad or inp.op is not None):
+        out = t.data if op.residual is None else (t.data, op.residual)
+        input_grads = _OPS[op.kind].vjp(g, tuple(i.data for i in op.inputs), out, op.attrs)
+        for inp, ig in zip(op.inputs, input_grads):
+            if not inp.requires_grad:
                 continue
             if inp.node_id in grads:
                 grads[inp.node_id] = grads[inp.node_id] + ig
             else:
                 grads[inp.node_id] = ig
-
-    for t in visited.values():
-        t.op = None
-    return {nid: Tensor(g, _checked=True) for nid, g in result.items()}
+    return leaf_grads
 
 
 @dataclass
@@ -703,9 +703,6 @@ class CheckReport:
     kind: str
     max_rel_err: float
     per_input: list = field(default_factory=list)
-
-    def ok(self, tol):
-        return self.max_rel_err < tol
 
 
 FD_STEP = 1e-5
@@ -748,11 +745,11 @@ def grad_check(kind, shapes, seed, attrs=None):
     tensors = [tensor(a, requires_grad=True) for a in arrays]
     out = apply(kind, tensors, attrs)
     loss = apply("sum", [apply("multiply", [out, tensor(weights)])], {"axes": None})
-    backward(loss)
+    gmap = backward(loss)
 
     report = CheckReport(kind=kind, max_rel_err=0.0)
     for idx, (base, t) in enumerate(zip(arrays, tensors)):
-        analytic = t.grad if t.grad is not None else np.zeros(base.shape)
+        analytic = gmap[t.node_id].data if t.node_id in gmap else np.zeros(base.shape)
         worst = 0.0
         flat = base.reshape(-1)
         for j in range(flat.size):

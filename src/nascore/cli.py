@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import autodiff, datagen, dataset, metrics, models, training, tvf, verify
+from . import autodiff, datagen, dataset, metrics, models, training, verify
 
 MODEL_NAMES = {
     "mvit": "mini-mvit",
@@ -236,16 +236,8 @@ def main(argv=None):
     except (
         CliError,
         autodiff.AutodiffError,
-        dataset.ManifestError,
-        dataset.ReductionError,
-        dataset.TooShortClipError,
-        datagen.PlanError,
-        datagen.RenderError,
-        models.ConfigError,
-        models.GeometryError,
-        tvf.TvfError,
         training.NonFiniteGradError,
-        ValueError,
+        ValueError,  # the typed data, config and geometry errors all subclass it
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,11 +140,8 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
         g = grads.get(name)
         if g is None:
             g = np.zeros(p.shape)
-        else:
-            with np.errstate(over="ignore"):
-                total = float(g.sum()) if g.size else 0.0
-            if not np.isfinite(total) and not np.isfinite(g).all():
-                raise NonFiniteGradError(f"non-finite gradient for parameter {name!r}")
+        elif not ad.all_finite(g):
+            raise NonFiniteGradError(f"non-finite gradient for parameter {name!r}")
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
@@ -166,10 +163,22 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
 
 
 def load_sampled_clips(entries):
-    """Maps video_id to its 16 sampled frames, kept as raw u16 counts."""
+    """Maps video_id to its 16 sampled frames, kept as raw u16 counts.
+
+    Every clip must share the frame size of the first; a clip that differs
+    raises ``models.GeometryError`` naming both clips.
+    """
     out = {}
+    first_path = first_hw = None
     for e in entries:
-        t, _, _, _ = tvf.read_header(e.clip_path)
+        t, h, w, _ = tvf.read_header(e.clip_path)
+        if first_hw is None:
+            first_path, first_hw = e.clip_path, (h, w)
+        elif (h, w) != first_hw:
+            raise models.GeometryError(
+                f"{e.clip_path}: frames are {h}x{w} (HxW), but {first_path} has "
+                f"{first_hw[0]}x{first_hw[1]}; all clips must share one frame size"
+            )
         indices = dataset.sample_indices(t)
         out[e.video_id] = tvf.read_frames(e.clip_path, indices)
     return out
@@ -283,7 +292,46 @@ class ExperimentRun:
         for key in ("schema", *names):
             if key not in d:
                 raise RunFileError(f"{source}: missing key {key!r}")
+        if d["method"] not in METHODS:
+            raise RunFileError(f"{source}: unknown method {d['method']!r}")
+        _check_folds(d["folds"], d["method"], source)
         return cls(**{name: d[name] for name in names})
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_folds(folds, method, source):
+    """Raises RunFileError unless ``folds`` holds what ``eval`` reads."""
+    if not isinstance(folds, list):
+        raise RunFileError(f"{source}: folds is not a list")
+    n_classes = len(dataset.ACTIVITY_TABLE)
+    for i, fold in enumerate(folds):
+        if not isinstance(fold, dict):
+            raise RunFileError(f"{source}: fold {i} is not an object")
+        for key in ("fold_index", "loss_history", "predictions"):
+            if key not in fold:
+                raise RunFileError(f"{source}: fold {i}: missing key {key!r}")
+        if not isinstance(fold["predictions"], list):
+            raise RunFileError(f"{source}: fold {i}: predictions is not a list")
+        for j, record in enumerate(fold["predictions"]):
+            where = f"{source}: fold {i} record {j}"
+            if not isinstance(record, dict):
+                raise RunFileError(f"{where}: not an object")
+            for key in ("video_id", "true_class"):
+                if key not in record:
+                    raise RunFileError(f"{where}: missing key {key!r}")
+            true_class = record["true_class"]
+            if type(true_class) is not int or not 0 <= true_class < n_classes:
+                raise RunFileError(f"{where}: true_class {true_class!r} outside 0..{n_classes - 1}")
+            if method == "indirect":
+                logits = record.get("logits")
+                if not (isinstance(logits, list) and len(logits) == n_classes
+                        and all(_is_number(v) for v in logits)):
+                    raise RunFileError(f"{where}: logits is not a list of {n_classes} numbers")
+            elif not _is_number(record.get("score")):
+                raise RunFileError(f"{where}: score is not a number")
 
 
 def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:

@@ -142,6 +142,29 @@ class TestTrain:
         assert err == "error: expected batch of (16, 12, 12) frames, got (16, 8, 8)\n"
         assert not out.exists()
 
+    def test_mixed_geometry_is_one_line_error(self, mini_pipeline, tmp_path, capsys):
+        _, prepared, config = mini_pipeline
+        labels = [0] * datagen.N_ACTIVITIES
+        labels[datagen.RETAINED_COLUMNS[0]] = 1
+        odd = datagen.PlanEntry(video_id="odd", labels=tuple(labels), frame_count=676, seed=1)
+        datagen.write_corpus(datagen.CorpusPlan(entries=[odd], seed=1), tmp_path / "odd",
+                             geometry=(12, 12))
+        odd_clip = tvf.clip_path(tmp_path / "odd", "odd")
+        # the last row points at the odd clip; the other paths are made absolute
+        header, *rows = (line.split(",") for line in prepared.read_text().splitlines())
+        lines = [",".join(r[:3] + [str(prepared.parent / r[3])]) for r in rows[:-1]]
+        lines.append(",".join(rows[-1][:3] + [str(odd_clip)]))
+        manifest = tmp_path / "prepared.csv"
+        manifest.write_text("\n".join([",".join(header), *lines]) + "\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", manifest, "--model", "cnnrnn",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(odd_clip) in err and "12x12" in err and "8x8" in err
+        assert not out.exists()
+
     def test_overflowing_run_is_one_line_error(self, mini_pipeline, tmp_path, capsys, recwarn):
         _, prepared, _ = mini_pipeline
         config = tmp_path / "train.cfg"
@@ -205,6 +228,24 @@ class TestTrain:
         assert exc.value.code == 2
 
 
+def run_file(method="indirect", folds=None, drop=None, bad_class=None):
+    """A schema-1 run payload of 2 folds x 8 records, with one defect applied."""
+    records = [
+        {"video_id": f"v{i}", "true_class": i % 8,
+         **({"logits": [0.0] * 8} if method == "indirect" else {"score": 1.0})}
+        for i in range(16)
+    ]
+    if drop is not None:
+        del records[1][drop]
+    if bad_class is not None:
+        records[15]["true_class"] = bad_class
+    if folds is None:
+        folds = [{"fold_index": f, "loss_history": [1.0], "predictions": records[8 * f : 8 * f + 8]}
+                 for f in range(2)]
+    return {"schema": 1, "variant": "mini-mvit", "method": method, "train_config": {"seed": 0},
+            "model_config": {}, "corpus_digest": "0" * 64, "folds": folds}
+
+
 class TestEval:
     def make_run(self, mini_pipeline, tmp_path, name, model, method, manifest=None):
         root, prepared, config = mini_pipeline
@@ -251,7 +292,11 @@ class TestEval:
         ({}, "missing key 'schema'"),
         ({"schema": 99, "variant": "mini-mvit"}, "unknown schema 99, expected 1"),
         ({"schema": 1, "variant": "mini-mvit"}, "missing key 'method'"),
-    ], ids=["empty", "schema", "key"])
+        (run_file(folds="abc"), "folds is not a list"),
+        (run_file(drop="true_class"), "fold 0 record 1: missing key 'true_class'"),
+        (run_file(bad_class=9), "fold 1 record 7: true_class 9 outside 0..7"),
+        (run_file(method="direct", drop="score"), "fold 0 record 1: score is not a number"),
+    ], ids=["empty", "schema", "key", "folds", "true_class", "class_range", "score"])
     def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):
         run = tmp_path / "run"
         run.mkdir()

@@ -143,8 +143,9 @@ class TestAdam:
 
     def test_non_finite_grad_names_parameter(self):
         params = self.params_of(1.0)
-        with pytest.raises(training.NonFiniteGradError, match="'w'"):
-            training.adam_step(params, {"w": np.array([1.0, np.nan, 0.0])}, training.AdamState(), 0.1)
+        for g in ([1.0, np.nan, 0.0], [np.inf, -np.inf, 0.0]):
+            with pytest.raises(training.NonFiniteGradError, match="'w'"):
+                training.adam_step(params, {"w": np.array(g)}, training.AdamState(), 0.1)
 
     def test_missing_grad_treated_as_zero(self):
         params = self.params_of(4.0)
