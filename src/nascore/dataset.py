@@ -6,6 +6,13 @@ Reduction keeps activities whose total occurrence count clears a threshold
 only over the retained flags (``rule="after"``); the bundled synthetic
 corpus is constructed so both give the same result.
 
+``ACTIVITY_TABLE`` is the one class vocabulary: a class index is a
+position in that table, never a position among the retained columns, so
+``Manifest.class_counts`` holds one count per table class and a clip's
+true score is ``avg_nas(class_index)``. A retained column with no table
+entry is a ``ReductionError``; a prepared-manifest ``avg_nas`` that is not
+its class's table score is a ``ManifestError``.
+
 ``sample_indices`` defines the 16 frames each clip contributes. Frames
 reach a model one way only: ``training.load_sampled_clips`` reads them as
 raw u16 counts and ``training._batch_tensor`` divides by ``PIXEL_SCALE``.
@@ -44,7 +51,6 @@ class TooShortClipError(ValueError):
 
 @dataclass(frozen=True)
 class Activity:
-    class_index: int
     column: int  # zero-based activity column in the label manifest
     name: str
     average_nas: float
@@ -53,17 +59,17 @@ class Activity:
 # the 8 activities retained at the default threshold, with the average
 # workload score across each activity's subcategories
 ACTIVITY_TABLE = (
-    Activity(0, 0, "Present at bedside AND continuous observation", 12.07),
-    Activity(1, 1, "Specific ICU therapies", 2.80),
-    Activity(2, 7, "Processing of clinical data", 19.13),
-    Activity(3, 8, "Support/interaction with relatives", 18.00),
-    Activity(4, 9, "Mobilisation and positioning", 11.63),
-    Activity(5, 11, "Hygiene procedure", 13.53),
-    Activity(6, 12, "Medication", 5.60),
-    Activity(7, 13, "Blood taking", 4.30),
+    Activity(0, "Present at bedside AND continuous observation", 12.07),
+    Activity(1, "Specific ICU therapies", 2.80),
+    Activity(7, "Processing of clinical data", 19.13),
+    Activity(8, "Support/interaction with relatives", 18.00),
+    Activity(9, "Mobilisation and positioning", 11.63),
+    Activity(11, "Hygiene procedure", 13.53),
+    Activity(12, "Medication", 5.60),
+    Activity(13, "Blood taking", 4.30),
 )
 
-_COLUMN_TO_ACTIVITY = {a.column: a for a in ACTIVITY_TABLE}
+_COLUMN_TO_CLASS = {a.column: i for i, a in enumerate(ACTIVITY_TABLE)}
 
 
 def avg_nas(class_index: int) -> float:
@@ -136,7 +142,7 @@ class Manifest:
 
     def __post_init__(self):
         self.total_after = len(self.entries)
-        counts = [0] * len(self.retained_columns)
+        counts = [0] * len(ACTIVITY_TABLE)
         for e in self.entries:
             counts[e.class_index] += 1
         self.class_counts = tuple(counts)
@@ -148,7 +154,7 @@ def reduce_labels(records, rule="before", min_count=OCCURRENCE_THRESHOLD) -> Man
     Retained activities are those with at least ``min_count`` occurrences
     over the whole corpus. ``rule`` picks where "exactly one label" is
     evaluated: "before" counts every flag, "after" only retained flags.
-    Class indices follow manifest column order of the retained set.
+    A video's class index is its column's position in ``ACTIVITY_TABLE``.
     """
     if rule not in ("before", "after"):
         raise ValueError(f"rule must be 'before' or 'after', got {rule!r}")
@@ -157,18 +163,22 @@ def reduce_labels(records, rule="before", min_count=OCCURRENCE_THRESHOLD) -> Man
         for i, v in enumerate(r.flags):
             totals[i] += v
     retained = tuple(i for i, n in enumerate(totals) if n >= min_count)
-    column_to_class = {col: idx for idx, col in enumerate(retained)}
+    for col in retained:
+        if col not in _COLUMN_TO_CLASS:
+            raise ReductionError(
+                f"retained column {ACTIVITY_FIELDS[col]} has no average score entry"
+            )
 
     entries = []
     for r in records:
         cols = [i for i, v in enumerate(r.flags) if v]
-        scope = cols if rule == "before" else [c for c in cols if c in column_to_class]
-        if len(scope) != 1 or scope[0] not in column_to_class:
+        scope = cols if rule == "before" else [c for c in cols if c in retained]
+        if len(scope) != 1 or scope[0] not in retained:
             continue
         entries.append(
             ManifestEntry(
                 video_id=r.video_id,
-                class_index=column_to_class[scope[0]],
+                class_index=_COLUMN_TO_CLASS[scope[0]],
                 clip_path=r.clip_path,
             )
         )
@@ -193,26 +203,16 @@ PREPARED_HEADER = ["video_id", "class_index", "avg_nas", "clip_path"]
 
 
 def write_prepared_manifest(manifest: Manifest, out_path) -> Path:
-    """Writes the training manifest; clip paths are stored relative to it.
-
-    Requires every retained activity to be one of the 8 known classes so
-    the average score column can be filled in.
-    """
+    """Writes the training manifest; clip paths are stored relative to it."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    for col in manifest.retained_columns:
-        if col not in _COLUMN_TO_ACTIVITY:
-            raise ReductionError(
-                f"retained column {ACTIVITY_FIELDS[col]} has no average score entry"
-            )
     base = out_path.resolve().parent
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREPARED_HEADER)
         for e in manifest.entries:
-            activity = _COLUMN_TO_ACTIVITY[manifest.retained_columns[e.class_index]]
             rel = _relative_path(e.clip_path.resolve(), base)
-            writer.writerow([e.video_id, e.class_index, f"{activity.average_nas:.2f}", rel])
+            writer.writerow([e.video_id, e.class_index, f"{avg_nas(e.class_index):.2f}", rel])
     return out_path
 
 
@@ -229,7 +229,6 @@ def _relative_path(target: Path, base: Path) -> str:
 class PreparedEntry:
     video_id: str
     class_index: int
-    avg_nas: float
     clip_path: Path
 
 
@@ -257,14 +256,20 @@ def load_prepared_manifest(path) -> list:
             if not 0 <= class_index < len(ACTIVITY_TABLE):
                 last = len(ACTIVITY_TABLE) - 1
                 raise ManifestError(f"{path}:{lineno}: class_index {class_index} outside 0..{last}")
-            # nan and inf parse as floats, but would make the training loss non-finite
+            # nan and inf parse as floats; they are malformed, not a score of another class
             try:
                 avg = float(nas_text)
             except ValueError:
                 avg = math.nan
             if not math.isfinite(avg):
                 raise ManifestError(f"{path}:{lineno}: malformed avg_nas {nas_text!r}")
-            entries.append(PreparedEntry(video_id, class_index, avg, base / clip))
+            expected = avg_nas(class_index)
+            if avg != expected:
+                raise ManifestError(
+                    f"{path}:{lineno}: avg_nas {nas_text} does not match class {class_index}"
+                    f" ({expected:.2f})"
+                )
+            entries.append(PreparedEntry(video_id, class_index, base / clip))
     if not entries:
         raise ManifestError(f"{path}: no entries")
     return entries

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NAS_VALUES
+from .dataset import ACTIVITY_TABLE, NAS_VALUES
 
 
 class EmptyPredictionsError(ValueError):
     pass
 
 
-N_CLASSES = 8
+N_CLASSES = len(ACTIVITY_TABLE)
 
 
 @dataclass

@@ -221,7 +221,7 @@ def train_fold(split: FoldSplit, entry_map, model_config, config: TrainConfig) -
             if config.method == "indirect":
                 loss = loss_indirect(out, [entry_map[i].class_index for i in ids])
             else:
-                loss = loss_direct(out, [entry_map[i].avg_nas for i in ids])
+                loss = loss_direct(out, [dataset.avg_nas(entry_map[i].class_index) for i in ids])
             gmap = ad.backward(loss)
             grads = {
                 name: gmap[p.node_id].data if p.node_id in gmap else None
@@ -294,6 +294,13 @@ class ExperimentRun:
                 raise RunFileError(f"{source}: missing key {key!r}")
         if d["method"] not in METHODS:
             raise RunFileError(f"{source}: unknown method {d['method']!r}")
+        for key in ("train_config", "model_config"):
+            if not isinstance(d[key], dict):
+                raise RunFileError(f"{source}: {key} is not an object")
+        if "seed" not in d["train_config"]:
+            raise RunFileError(f"{source}: train_config: missing key 'seed'")
+        if type(d["train_config"]["seed"]) is not int:
+            raise RunFileError(f"{source}: train_config: seed is not an int")
         _check_folds(d["folds"], d["method"], source)
         return cls(**{name: d[name] for name in names})
 

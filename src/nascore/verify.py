@@ -85,7 +85,7 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
     model = models.build_model(config)
     rng = np.random.default_rng(stable_seed(seed, variant, "fd"))
     batch = rng.uniform(0.0, 1.0, size=(2, 16, *config.frame_hw))
-    classes = [int(c) for c in rng.integers(0, 8, size=2)]
+    classes = [int(c) for c in rng.integers(0, metrics.N_CLASSES, size=2)]
 
     out = model.forward(ad.tensor(batch))
     loss = training.loss_indirect(out, classes)
@@ -148,13 +148,13 @@ def metrics_oracle_suite(n_sets=200):
             f1_worst,
             abs(
                 metrics.f1_macro(preds)
-                - oracles.confusion_f1_macro(preds.true_classes, predicted, 8)
+                - oracles.confusion_f1_macro(preds.true_classes, predicted, metrics.N_CLASSES)
             ),
         )
         if metrics.accuracy(preds) != oracles.counting_accuracy(preds.true_classes, predicted):
             acc_exact = False
         probs = metrics.softmax_probabilities(preds.logits)
-        for c in range(8):
+        for c in range(metrics.N_CLASSES):
             positives = preds.true_classes == c
             if positives.all() or not positives.any():
                 degenerate += 1

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -51,6 +52,38 @@ class TestPrep:
         run_cli("prep", "--corpus", labels_only_corpus, "--out", a, "--rule", "before")
         run_cli("prep", "--corpus", labels_only_corpus, "--out", b, "--rule", "after")
         assert a.read_text() == b.read_text()
+
+    def test_class_index_is_table_position(self, labels_only_corpus, tmp_path, capsys):
+        # at 60 occurrences columns a01, a02, a08 and a10 are retained; a class
+        # index still names a table row, so each clip trains on and is scored
+        # against its own activity's score
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prep", "--corpus", labels_only_corpus, "--out", out,
+                       "--min-count", 60) == 0
+        assert "[65, 58, 68, 0, 60, 0, 0, 0]" in capsys.readouterr().out
+        records = dataset.load_labels(labels_only_corpus / "labels.csv")
+        flags = {r.video_id: r.flags for r in records}
+        entries = dataset.load_prepared_manifest(out)
+        for e in entries:
+            column = dataset.ACTIVITY_TABLE[e.class_index].column
+            assert [i for i, v in enumerate(flags[e.video_id]) if v] == [column]
+        with open(out, newline="") as fh:
+            targets = [float(row["avg_nas"]) for row in csv.DictReader(fh)]
+        assert targets == [dataset.avg_nas(e.class_index) for e in entries]
+        perfect = [
+            {"video_id": e.video_id, "true_class": e.class_index, "score": score}
+            for e, score in zip(entries, targets)
+        ]
+        preds = metrics.PredictionSet.from_records("direct", perfect)
+        assert metrics.nas_mse(preds) == 0.0
+
+    def test_retained_column_without_score_fails(self, labels_only_corpus, tmp_path, capsys):
+        # at 40 occurrences a07 (49) is retained, and it has no table entry
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prep", "--corpus", labels_only_corpus, "--out", out,
+                       "--min-count", 40) == 1
+        assert capsys.readouterr().err == "error: retained column a07 has no average score entry\n"
+        assert not out.exists()
 
     def test_below_threshold_corpus_fails(self, tmp_path):
         directory = tmp_path / "corpus"
@@ -184,6 +217,7 @@ class TestTrain:
         ("b,8,12.07,b.tvf", "class_index 8 outside 0..7"),
         ("b,-1,12.07,b.tvf", "class_index -1 outside 0..7"),
         ("a,1,2.80,a.tvf", "duplicate video_id 'a'"),
+        ("b,0,5.60,b.tvf", "avg_nas 5.60 does not match class 0 (12.07)"),
     ])
     def test_bad_manifest_row_is_one_line_error(self, tmp_path, capsys, row, message):
         manifest = tmp_path / "prepared.csv"
@@ -296,7 +330,10 @@ class TestEval:
         (run_file(drop="true_class"), "fold 0 record 1: missing key 'true_class'"),
         (run_file(bad_class=9), "fold 1 record 7: true_class 9 outside 0..7"),
         (run_file(method="direct", drop="score"), "fold 0 record 1: score is not a number"),
-    ], ids=["empty", "schema", "key", "folds", "true_class", "class_range", "score"])
+        ({**run_file(), "train_config": "abc"}, "train_config is not an object"),
+        ({**run_file(), "train_config": {}}, "train_config: missing key 'seed'"),
+    ], ids=["empty", "schema", "key", "folds", "true_class", "class_range", "score",
+            "train_config", "seed"])
     def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):
         run = tmp_path / "run"
         run.mkdir()

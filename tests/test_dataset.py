@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nascore import datagen, dataset, training, tvf
 
@@ -26,7 +32,7 @@ def sampled_clip(directory, video_id, frames):
     """Writes one clip and reads its sampled frames the way training does."""
     path = tvf.clip_path(directory, video_id)
     tvf.write_clip(path, tvf.VideoClip(frames=frames))
-    entry = dataset.PreparedEntry(video_id=video_id, class_index=0, avg_nas=12.07, clip_path=path)
+    entry = dataset.PreparedEntry(video_id=video_id, class_index=0, clip_path=path)
     return training.load_sampled_clips([entry])
 
 
@@ -81,7 +87,10 @@ class TestReduceLabels:
         manifest = dataset.reduce_labels(records)
         assert manifest.total_after == 60
         assert manifest.retained_columns == (medication_col,)
-        assert all(e.class_index == 0 for e in manifest.entries)
+        # the class index is Medication's table position, not its rank
+        # among the retained columns
+        assert all(e.class_index == 6 for e in manifest.entries)
+        assert manifest.class_counts == (0, 0, 0, 0, 0, 0, 60, 0)
 
     def test_all_multilabel_corpus_is_empty_result(self, tmp_path):
         flags = ["0"] * 23
@@ -204,6 +213,28 @@ class TestSampleFrames:
         np.testing.assert_array_equal(pixels, expected / dataset.PIXEL_SCALE)
 
 
+TABLE_SCORES = [f"{v:.2f}" for v in dataset.NAS_VALUES]
+
+
+@st.composite
+def manifest_rows(draw):
+    """Up to 4 data rows, each well-formed or given one defect: another
+    table score, one field of arbitrary text, or a row of arbitrary text."""
+    rows = []
+    for i in range(draw(st.integers(0, 4))):
+        c = draw(st.integers(-1, 8))
+        row = [f"v{i}", str(c), TABLE_SCORES[c % 8], f"v{i}.tvf"]
+        defect = draw(st.sampled_from(["none", "none", "score", "field", "row"]))
+        if defect == "score":
+            row[2] = draw(st.sampled_from(TABLE_SCORES))
+        elif defect == "field":
+            row[draw(st.integers(0, 3))] = draw(st.text(max_size=8))
+        elif defect == "row":
+            row = draw(st.lists(st.text(max_size=8), max_size=6))
+        rows.append(row)
+    return rows
+
+
 class TestPreparedManifest:
     def test_round_trip(self, tmp_path):
         rows = [single_label_row(f"v{i}", 12) for i in range(55)]
@@ -212,6 +243,21 @@ class TestPreparedManifest:
         out = dataset.write_prepared_manifest(manifest, tmp_path / "prep.csv")
         entries = dataset.load_prepared_manifest(out)
         assert len(entries) == 55
-        assert all(e.class_index == 0 for e in entries)
-        assert all(e.avg_nas == 5.60 for e in entries)
+        assert all(e.class_index == 6 for e in entries)
+        assert all(dataset.avg_nas(e.class_index) == 5.60 for e in entries)
         assert entries[0].clip_path == tmp_path / "v0.tvf"
+
+    @given(manifest_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_any_rows_parse_or_raise_manifest_error(self, rows):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "prepared.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(dataset.PREPARED_HEADER)
+                writer.writerows(rows)
+            try:
+                entries = dataset.load_prepared_manifest(path)
+            except dataset.ManifestError:
+                return
+        assert all(0 <= e.class_index < len(dataset.ACTIVITY_TABLE) for e in entries)

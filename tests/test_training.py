@@ -16,7 +16,6 @@ def fake_entries(counts):
                 dataset.PreparedEntry(
                     video_id=f"c{cls}_{i}",
                     class_index=cls,
-                    avg_nas=dataset.avg_nas(cls % 8),
                     clip_path=Path("unused.tvf"),
                 )
             )
