@@ -11,11 +11,12 @@ later vjp needs them. ``grad_check`` compares analytic gradients of any
 op against central finite differences.
 
 An op's forward returns its output array, or ``(out, residual)`` when its
-vjp reuses intermediates of the forward (``pooled_attention`` saves its
-softmax weights this way). Only ``out`` becomes the tensor; the residual
-rides on the graph node, so it is dropped at once when no node is recorded
-and freed with the node during ``backward``. The vjp gets back the same
-pair as its ``out`` argument.
+vjp reuses intermediates of the forward. ``pooled_attention`` saves its
+split heads and per-row log-sum-exp this way: it never holds the full
+softmax weights, and its vjp rebuilds them one query tile at a time. Only
+``out`` becomes the tensor; the residual rides on the graph node, so it is
+dropped at once when no node is recorded and freed with the node during
+``backward``. The vjp gets back the same pair as its ``out`` argument.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class AutodiffError(Exception):
@@ -380,15 +382,29 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
+# the byte budget of one query tile's (B, heads, rows, Nk) weight block:
+# about half of a 2 MiB per-core L2, so the logits stay in cache through
+# the scale, max, exp and normalisation passes
+ATTENTION_TILE_BYTES = 1 << 20
+
+
+def _query_tiles(b, heads, nq, nk):
+    """Row slices that walk Nq queries in tiles of ATTENTION_TILE_BYTES."""
+    rows = max(1, ATTENTION_TILE_BYTES // (8 * b * heads * nk))
+    return [slice(i, min(i + rows, nq)) for i in range(0, nq, rows)]
+
+
 @_register("pooled_attention")
 class _PooledAttention:
     """Multi-head attention softmax(q k^T / sqrt(d)) v of q (B, Nq, C) over
     k, v (B, Nk, C); the heads split C into equal slices of width d.
 
-    The forward keeps (q heads, k^T, v heads, softmax weights) as its
-    residual, so the vjp does not recompute the weights. The matmul
-    operands have the layouts the unfused reshape/permute chain gave them,
-    so the results match that chain bit for bit.
+    Both passes walk the queries in row tiles (``_query_tiles``), so no
+    (Nq, Nk) array is ever held, only one tile's weights. The residual is
+    (q heads, k^T, v heads, per-row log-sum-exp of the scaled logits); the
+    vjp rebuilds each tile's weights as exp(q k^T / sqrt(d) - lse) and takes
+    the softmax-vjp row term from the context, rowsum(g * ctx), which equals
+    rowsum(g v^T * w).
     """
 
     @staticmethod
@@ -410,35 +426,64 @@ class _PooledAttention:
             raise ShapeMismatch("pooled_attention", f"width divisible by {heads} heads", f"{c}")
         qh, vh = _split_heads(q, heads), _split_heads(v, heads)
         kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 1, 3, 2))
-        w = qh @ kt
-        w *= 1.0 / math.sqrt(c // heads)
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        return _merge_heads(w @ vh), (qh, kt, vh, w)
+        scale = 1.0 / math.sqrt(c // heads)
+        ctx = np.empty(qh.shape)
+        lse = np.empty((b, heads, nq, 1))
+        for rows in _query_tiles(b, heads, nq, k.shape[1]):
+            w = qh[:, :, rows] @ kt
+            w *= scale
+            m = w.max(axis=-1, keepdims=True)
+            w -= m
+            np.exp(w, out=w)
+            total = w.sum(axis=-1, keepdims=True)
+            w /= total
+            ctx[:, :, rows] = w @ vh
+            lse[:, :, rows] = m + np.log(total)
+        return _merge_heads(ctx), (qh, kt, vh, lse)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        _, (qh, kt, vh, w) = out
+        ctx, (qh, kt, vh, lse) = out
         b, h, nq, d = qh.shape
-        gc = g.reshape(b, nq, h, d).transpose(0, 2, 1, 3)
-        gv = np.swapaxes(w, -1, -2) @ gc
-        gw = gc @ np.swapaxes(vh, -1, -2)
-        # softmax vjp, then the 1/sqrt(d) scale, in place
-        gw -= (gw * w).sum(axis=-1, keepdims=True)
-        gw *= w
-        gw *= 1.0 / math.sqrt(d)
-        gq = gw @ np.swapaxes(kt, -1, -2)
-        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
-        return _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
+        scale = 1.0 / math.sqrt(d)
+        gc = _split_heads(g, h)
+        # softmax-vjp row term per (batch, head, query): rowsum(g * ctx)
+        rowdot = (g * ctx).reshape(b, nq, h, d).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        gq = np.empty(qh.shape)
+        gkt = np.zeros(kt.shape)
+        gv = np.zeros(vh.shape)
+        for rows in _query_tiles(b, h, nq, kt.shape[-1]):
+            w = qh[:, :, rows] @ kt
+            w *= scale
+            w -= lse[:, :, rows]
+            np.exp(w, out=w)
+            gv += np.swapaxes(w, -1, -2) @ gc[:, :, rows]
+            gw = gc[:, :, rows] @ np.swapaxes(vh, -1, -2)
+            # softmax vjp, then the 1/sqrt(d) scale, in place
+            gw -= rowdot[:, :, rows]
+            gw *= w
+            gw *= scale
+            gq[:, :, rows] = gw @ np.swapaxes(kt, -1, -2)
+            gkt += np.swapaxes(qh[:, :, rows], -1, -2) @ gw
+        return _merge_heads(gq), _merge_heads(np.swapaxes(gkt, -1, -2)), _merge_heads(gv)
 
 
 def _conv_out(n, k, s, p):
     return (n + 2 * p - k) // s + 1
 
 
+def _conv_windows(x, kh, kw, stride, padding):
+    """(B, C, OH, OW, kh, kw) strided view of the zero-padded x's windows."""
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, :: stride[0], :: stride[1]]
+
+
 @_register("conv2d")
 class _Conv2d:
+    """Cross-correlation of x (B, C, H, W) with w (O, C, kh, kw), unfolded:
+    each pass is one contraction over the (C, kh, kw) windows of x."""
+
     @staticmethod
     def forward(xs, attrs):
         x, w = xs
@@ -448,18 +493,13 @@ class _Conv2d:
             raise ShapeMismatch("conv2d", f"{w.shape[1]} input channels", f"{x.shape[1]}")
         sh, sw = attrs["stride"]
         ph, pw = attrs["padding"]
-        b, c, h, wd = x.shape
-        o, _, kh, kw = w.shape
-        oh, ow = _conv_out(h, kh, sh, ph), _conv_out(wd, kw, sw, pw)
+        kh, kw = w.shape[2], w.shape[3]
+        oh, ow = _conv_out(x.shape[2], kh, sh, ph), _conv_out(x.shape[3], kw, sw, pw)
         if oh <= 0 or ow <= 0:
             raise ShapeMismatch("conv2d", "positive output extent", f"{oh}x{ow}")
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        out = np.zeros((b, o, oh, ow))
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw]
-                out += np.einsum("bcij,oc->boij", patch, w[:, :, u, v])
-        return out
+        win = _conv_windows(x, kh, kw, attrs["stride"], attrs["padding"])
+        # (O, B, OH, OW) -> (B, O, OH, OW)
+        return np.tensordot(w, win, axes=((1, 2, 3), (1, 4, 5))).transpose(1, 0, 2, 3)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
@@ -468,17 +508,18 @@ class _Conv2d:
         ph, pw = attrs["padding"]
         _, _, oh, ow = g.shape
         kh, kw = w.shape[2], w.shape[3]
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w)
+        win = _conv_windows(x, kh, kw, attrs["stride"], attrs["padding"])
+        # (C, kh, kw, O) -> (O, C, kh, kw)
+        gw = np.tensordot(win, g, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
+        # (C, kh, kw, B, OH, OW): each tap's slice adds onto the strided
+        # input positions it read
+        taps = np.tensordot(w, g, axes=((0,), (1,)))
+        b, c, h, wd = x.shape
+        gxp = np.zeros((b, c, h + 2 * ph, wd + 2 * pw))
         for u in range(kh):
             for v in range(kw):
-                patch = xp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw]
-                gw[:, :, u, v] = np.einsum("boij,bcij->oc", g, patch)
-                gxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += np.einsum(
-                    "boij,oc->bcij", g, w[:, :, u, v]
-                )
-        h, wd = x.shape[2], x.shape[3]
+                tap = taps[:, u, v].transpose(1, 0, 2, 3)
+                gxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += tap
         return gxp[:, :, ph : ph + h, pw : pw + wd], gw
 
 

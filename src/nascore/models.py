@@ -27,9 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .dataset import ACTIVITY_TABLE
 
 VARIANTS = ("mini-mvit", "micro-r2plus1d", "micro-cnn-rnn")
-HEADS = {"classify-8": 8, "regress-1": 1}
+# the classifier scores one logit per class of the activity table
+CLASSIFY_HEAD = f"classify-{len(ACTIVITY_TABLE)}"
+HEADS = {CLASSIFY_HEAD: len(ACTIVITY_TABLE), "regress-1": 1}
 
 N_FRAMES = 16
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import ACTIVITY_TABLE
+
 
 def counting_accuracy(true_classes, predicted_classes) -> float:
     correct = 0
@@ -64,7 +66,7 @@ def trapezoid_auc(scores, positives) -> float:
     return float(area)
 
 
-def random_prediction_records(seed, n_classes=8):
+def random_prediction_records(seed, n_classes=len(ACTIVITY_TABLE)):
     """One seeded random indirect-method prediction set (8 to 64 videos).
 
     Some draws quantize the logits so tied scores are exercised.

@@ -344,11 +344,11 @@ def _check_folds(folds, method, source):
 def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:
     """The default model for ``config`` at the frame size of the first clip.
 
-    The indirect method gets the 8-way classification head, the direct
-    method the single-score regression head.
+    The indirect method gets the classification head, one logit per
+    activity class, the direct method the single-score regression head.
     """
     _, h, w, _ = tvf.read_header(entries[0].clip_path)
-    head = "classify-8" if config.method == "indirect" else "regress-1"
+    head = models.CLASSIFY_HEAD if config.method == "indirect" else "regress-1"
     return models.default_config(config.variant, head, (h, w))
 
 

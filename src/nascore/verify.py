@@ -59,12 +59,12 @@ def gradcheck_suite(seeds=range(N_SEEDS)):
 def _fd_config(variant):
     if variant == "mini-mvit":
         return models.ModelConfig(
-            variant, "classify-8", (8, 8), embed_dims=(8, 16, 32), attention_heads=2
+            variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(8, 16, 32), attention_heads=2
         )
     if variant == "micro-r2plus1d":
-        return models.ModelConfig(variant, "classify-8", (8, 8), embed_dims=(4, 8, 8))
+        return models.ModelConfig(variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8, 8))
     return models.ModelConfig(
-        variant, "classify-8", (8, 8), embed_dims=(4, 8), blocks=(1, 1), hidden_size=8
+        variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8), blocks=(1, 1), hidden_size=8
     )
 
 

@@ -40,6 +40,58 @@ def attention_weights(q, k, heads):
     return ctx.reshape(b, nq, heads, nk).transpose(0, 2, 1, 3)
 
 
+def attention_reference(q, k, v, g, heads):
+    """Context of pooled_attention and the gradients of sum(ctx * g), per
+    batch item and head: scaled scores, row softmax, hand-derived vjp."""
+    d = q.shape[2] // heads
+    ctx = np.zeros_like(q)
+    gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for b in range(q.shape[0]):
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            qs, ks, vs, gs = q[b][:, cols], k[b][:, cols], v[b][:, cols], g[b][:, cols]
+            scores = qs @ ks.T / np.sqrt(d)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            ctx[b][:, cols] = p @ vs
+            gp = gs @ vs.T
+            gscores = p * (gp - (gp * p).sum(axis=1, keepdims=True)) / np.sqrt(d)
+            gq[b][:, cols] = gscores @ ks
+            gk[b][:, cols] = gscores.T @ qs
+            gv[b][:, cols] = p.T @ gs
+    return ctx, gq, gk, gv
+
+
+def assert_attention_matches_reference(q, k, v, g, heads):
+    tq, tk, tv = (ad.tensor(a, requires_grad=True) for a in (q, k, v))
+    out = ad.pooled_attention(tq, tk, tv, heads)
+    gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+    got = (out.data, gmap[tq.node_id].data, gmap[tk.node_id].data, gmap[tv.node_id].data)
+    for a, expected in zip(got, attention_reference(q, k, v, g, heads)):
+        np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-12)
+
+
+def conv2d_reference(x, w, g, stride, padding):
+    """Output of conv2d and the gradients of sum(out * g), as a plain loop
+    over output positions and kernel taps."""
+    (sh, sw), (ph, pw) = stride, padding
+    b, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((b, o, oh, ow))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            for u in range(kh):
+                for v in range(kw):
+                    pixel = xp[:, :, i * sh + u, j * sw + v]  # (B, C)
+                    out[:, :, i, j] += pixel @ w[:, :, u, v].T
+                    gw[:, :, u, v] += g[:, :, i, j].T @ pixel
+                    gxp[:, :, i * sh + u, j * sw + v] += g[:, :, i, j] @ w[:, :, u, v]
+    return out, gxp[:, :, ph : ph + h, pw : pw + wd], gw
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -117,31 +169,35 @@ class TestForwardValues:
         k = rng.standard_normal((2, 4, heads * d))
         v = rng.standard_normal((2, 4, heads * d))
         g = rng.standard_normal((2, 5, heads * d))
+        assert_attention_matches_reference(q, k, v, g, heads)
 
-        # per batch item and head: scaled scores, row softmax, context, and
-        # the hand-derived gradients of sum(ctx * g)
-        ctx = np.zeros_like(q)
-        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-        for b in range(2):
-            for h in range(heads):
-                cols = slice(h * d, (h + 1) * d)
-                qs, ks, vs, gs = q[b][:, cols], k[b][:, cols], v[b][:, cols], g[b][:, cols]
-                scores = qs @ ks.T / np.sqrt(d)
-                e = np.exp(scores - scores.max(axis=1, keepdims=True))
-                p = e / e.sum(axis=1, keepdims=True)
-                ctx[b][:, cols] = p @ vs
-                gp = gs @ vs.T
-                gscores = p * (gp - (gp * p).sum(axis=1, keepdims=True)) / np.sqrt(d)
-                gq[b][:, cols] = gscores @ ks
-                gk[b][:, cols] = gscores.T @ qs
-                gv[b][:, cols] = p.T @ gs
+    @pytest.mark.parametrize("b,heads,nq,nk", [(1, 1, 200, 2048), (2, 2, 131, 1024)])
+    def test_pooled_attention_across_query_tiles(self, b, heads, nq, nk):
+        # 2048 keys at B = heads = 1 give 64-row tiles, so 200 queries take
+        # three full tiles and a ragged one of 8 rows; (2, 2, 131, 1024)
+        # gives 32-row tiles and a ragged tile of 3
+        rows = ad.ATTENTION_TILE_BYTES // (8 * b * heads * nk)
+        assert nq > rows and nq % rows != 0
+        rng = np.random.default_rng(10)
+        q = rng.standard_normal((b, nq, heads * 4))
+        k, v = (rng.standard_normal((b, nk, heads * 4)) for _ in range(2))
+        g = rng.standard_normal(q.shape)
+        assert_attention_matches_reference(q, k, v, g, heads)
 
-        tq, tk, tv = (ad.tensor(a, requires_grad=True) for a in (q, k, v))
-        out = ad.pooled_attention(tq, tk, tv, heads)
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 3)], ids=["3x3", "1x3"])
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (0, 1)], ids=str)
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)], ids=str)
+    def test_conv2d_matches_loop_reference(self, stride, padding, kernel):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 5, 7))
+        w = rng.standard_normal((4, 3, *kernel))
+        tx, tw = ad.tensor(x, requires_grad=True), ad.tensor(w, requires_grad=True)
+        out = ad.conv2d(tx, tw, stride, padding)
+        g = rng.standard_normal(out.shape)
         gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
-        for got, expected in ((out.data, ctx), (gmap[tq.node_id].data, gq),
-                              (gmap[tk.node_id].data, gk), (gmap[tv.node_id].data, gv)):
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        got = (out.data, gmap[tx.node_id].data, gmap[tw.node_id].data)
+        for a, ref in zip(got, conv2d_reference(x, w, g, stride, padding)):
+            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestErrors:
@@ -281,14 +337,36 @@ class TestBackward:
 
     def test_pooled_attention_residual_lives_on_the_node(self):
         rng = np.random.default_rng(9)
-        arrays = [rng.standard_normal((1, 3, 4)) for _ in range(3)]
+        arrays = [rng.standard_normal((1, n, 4)) for n in (6, 5, 5)]
         out = ad.pooled_attention(*(ad.tensor(a) for a in arrays), heads=2)
         assert out.op is None and not out.requires_grad
         q = ad.tensor(arrays[0], requires_grad=True)
         out = ad.pooled_attention(q, *(ad.tensor(a) for a in arrays[1:]), heads=2)
-        assert out.op.residual is not None
+        # heads, k^T and the log-sum-exp rows: no array holds whole (Nq, Nk)
+        # weight blocks
+        residual = out.op.residual
+        assert residual and all(r.size % (6 * 5) for r in residual)
         gmap = ad.backward(ad.sum_(out))
-        assert out.op is None and gmap[q.node_id].shape == (1, 3, 4)
+        assert out.op is None and gmap[q.node_id].shape == (1, 6, 4)
+
+    def test_pooled_attention_holds_no_full_weight_array(self):
+        # stage-0-like: 3456 queries over 864 keys, so one (B, heads, Nq, Nk)
+        # float64 weight array is 48 MB; the forward and backward together
+        # must peak below it, because the weights live one query tile at a time
+        b, heads, nq, nk = 1, 2, 3456, 864
+        rng = np.random.default_rng(12)
+        q = ad.tensor(rng.standard_normal((b, nq, heads * 8)), requires_grad=True)
+        k, v = (ad.tensor(rng.standard_normal((b, nk, heads * 8)), requires_grad=True)
+                for _ in range(2))
+        g = ad.tensor(rng.standard_normal(q.shape))
+        tracemalloc.start()
+        try:
+            gmap = ad.backward(ad.sum_(ad.multiply(ad.pooled_attention(q, k, v, heads), g)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(gmap) == {q.node_id, k.node_id, v.node_id}
+        assert peak < 8 * b * heads * nq * nk
 
 
 class TestGradCheck:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nascore import autodiff as ad
-from nascore import models
+from nascore import dataset, models
 
 
 def micro_config(variant, head="classify-8", frame_hw=(8, 8), seed=0):
@@ -25,6 +25,13 @@ class TestBuildModel:
     def test_classify_head_width(self):
         model = models.build_model(models.default_config("mini-mvit", "classify-8", (32, 32)))
         assert model.params["head.w"].shape[1] == 8
+
+    def test_classify_head_name_matches_table_width(self):
+        width = len(dataset.ACTIVITY_TABLE)
+        assert models.CLASSIFY_HEAD == f"classify-{width}"
+        assert models.HEADS[models.CLASSIFY_HEAD] == width
+        model = models.build_model(micro_config("micro-cnn-rnn", head=models.CLASSIFY_HEAD))
+        assert model.params["head.w"].shape[1] == width
 
     def test_regress_head_width(self):
         model = models.build_model(models.default_config("mini-mvit", "regress-1", (32, 32)))
