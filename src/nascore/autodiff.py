@@ -346,25 +346,24 @@ class _Tanh:
 
 @_register("layer_norm")
 class _LayerNorm:
-    """Normalizes the last axis to zero mean, unit variance (no affine)."""
+    """Normalizes the last axis to zero mean, unit variance (no affine).
+
+    The residual is the per-row 1/sqrt(var + eps); the vjp reads the
+    normalized input from the op's own output.
+    """
 
     @staticmethod
     def forward(xs, attrs):
         x = xs[0]
         eps = attrs.get("epsilon", 1e-5)
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + eps)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        sd = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+        xc /= sd
+        return xc, 1.0 / sd
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        x = xs[0]
-        eps = attrs.get("epsilon", 1e-5)
-        n = x.shape[-1]
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
+        xhat, inv = out
         gm = g.mean(axis=-1, keepdims=True)
         gxm = (g * xhat).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - xhat * gxm),)

@@ -2,11 +2,14 @@
 
 mini-mvit: strided patch embedding into a token grid, then three stages of
 pooling attention; each stage transition halves the spatial grid and
-doubles the channel width. micro-r2plus1d: factorized blocks of 2D spatial
-convolution then temporal convolution, the latter a 1x3 conv2d over each
-pixel's (1, T) grid. micro-cnn-rnn: a shared 2D conv encoder per frame
-feeding a gated recurrent cell. Every convolution in these models is a
-conv2d plus bias, then ReLU.
+doubles the channel width. Keys and values are pooled by MViT's adaptive
+stride: ``kv_stride`` in the last stage, and ``stage_stride`` times more
+per axis in each stage before it, so every block attends to the same K/V
+grid. micro-r2plus1d: factorized blocks of 2D spatial convolution then
+temporal convolution, the latter a 1x3 conv2d over each pixel's (1, T)
+grid. micro-cnn-rnn: a shared 2D conv encoder per frame feeding a gated
+recurrent cell. Every convolution in these models is a conv2d plus bias,
+then ReLU.
 
 All variants end in the same head, ReLU then dense. mini-mvit and
 micro-r2plus1d feed it the mean over their token or space-time axes;
@@ -54,6 +57,7 @@ class ModelConfig:
     embed_dims: tuple = (16, 32, 64)
     blocks: tuple = (1, 1, 1)
     attention_heads: int = 2
+    # the last stage's K/V pooling stride; see kv_stride_schedule
     kv_stride: tuple = (1, 2, 2)
     stage_stride: tuple = (1, 2, 2)
     mlp_ratio: float = 2.0
@@ -65,6 +69,10 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
+        for key in ("patch_stride", "kv_stride", "stage_stride"):
+            value = getattr(self, key)
+            if len(value) != 3 or any(not isinstance(v, int) or v < 1 for v in value):
+                raise ConfigError(f"{key} must be three positive integers, got {value}")
         if len(self.embed_dims) != len(self.blocks):
             raise ConfigError("embed_dims and blocks must list the same number of stages")
         if self.variant == "mini-mvit":
@@ -153,6 +161,18 @@ def stage_schedule(config: ModelConfig):
         dims = tuple(_ceil_div(n, s) for n, s in zip(dims, config.stage_stride))
         schedule.append((dims, dim))
     return schedule
+
+
+def kv_stride_schedule(config: ModelConfig):
+    """The K/V pooling stride of each stage on its query grid: kv_stride *
+    stage_stride ** (S-1-s) per axis for stage s of S. Each stage transition
+    pools the queries by stage_stride, so every block attends to the same
+    K/V grid (MViT's adaptive K/V stride)."""
+    last = len(config.embed_dims) - 1
+    return [
+        tuple(k * q ** (last - s) for k, q in zip(config.kv_stride, config.stage_stride))
+        for s in range(last + 1)
+    ]
 
 
 @dataclass
@@ -289,25 +309,24 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
 def pooling_attention(params, prefix, grid: TokenGrid, heads, kv_stride, q_stride):
     """Multi-head attention with average-pooled keys/values (and queries at
     stage transitions), run as one fused ``pooled_attention`` op; the pooled
-    query tensor is added back before the output projection."""
+    query tensor is added back before the output projection.
+
+    ``kv_stride`` is measured on the pooled query grid: keys and values are
+    pooled from the input grid by q_stride * kv_stride per axis."""
     x, dims = grid.tokens, grid.dims
     q, q_dims = _pool_tokens(_dense(params, f"{prefix}.q", x), dims, q_stride)
-    k, _ = _pool_tokens(_dense(params, f"{prefix}.k", x), dims, kv_stride)
-    v, _ = _pool_tokens(_dense(params, f"{prefix}.v", x), dims, kv_stride)
+    kv_pool = tuple(a * b for a, b in zip(q_stride, kv_stride))
+    k, _ = _pool_tokens(_dense(params, f"{prefix}.k", x), dims, kv_pool)
+    v, _ = _pool_tokens(_dense(params, f"{prefix}.v", x), dims, kv_pool)
     out = ad.add(ad.pooled_attention(q, k, v, heads), q)
     out = _dense(params, f"{prefix}.proj", out)
     return TokenGrid(tokens=out, dims=q_dims)
 
 
-def _mvit_block(params, prefix, grid, config, q_stride, dim_in, dim_out):
+def _mvit_block(params, prefix, grid, heads, kv_stride, q_stride, dim_in, dim_out):
     normed = _affine_norm(params, f"{prefix}.ln1", grid.tokens)
     attn = pooling_attention(
-        params,
-        prefix,
-        TokenGrid(tokens=normed, dims=grid.dims),
-        config.attention_heads,
-        config.kv_stride,
-        q_stride,
+        params, prefix, TokenGrid(tokens=normed, dims=grid.dims), heads, kv_stride, q_stride
     )
     skip_src = grid.tokens if dim_in == dim_out else _dense(params, f"{prefix}.skip", normed)
     skip, _ = _pool_tokens(skip_src, grid.dims, q_stride)
@@ -322,10 +341,14 @@ def _forward_mvit(params, x, config, capture):
         x, config.patch_stride, params["patch.w"], params["patch.b"], params["pos"]
     )
     dim_in = config.embed_dims[0]
-    for s, (n_blocks, dim) in enumerate(zip(config.blocks, config.embed_dims)):
+    stages = zip(config.blocks, config.embed_dims, kv_stride_schedule(config))
+    for s, (n_blocks, dim, kv_stride) in enumerate(stages):
         for bi in range(n_blocks):
             q_stride = config.stage_stride if (s > 0 and bi == 0) else (1, 1, 1)
-            grid = _mvit_block(params, f"s{s}b{bi}", grid, config, q_stride, dim_in, dim)
+            grid = _mvit_block(
+                params, f"s{s}b{bi}", grid, config.attention_heads, kv_stride, q_stride,
+                dim_in, dim,
+            )
             dim_in = dim
         if capture is not None:
             capture.append((grid.dims, dim_in))

@@ -58,8 +58,10 @@ def gradcheck_suite(seeds=range(N_SEEDS)):
 
 def _fd_config(variant):
     if variant == "mini-mvit":
+        # 12x16 gives a (8, 3, 4) stage-0 grid, so its (1, 8, 8) K/V pool
+        # averages truncated ceil-mode windows; at 8x8 it would see (8, 2, 2)
         return models.ModelConfig(
-            variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(8, 16, 32), attention_heads=2
+            variant, models.CLASSIFY_HEAD, (12, 16), embed_dims=(8, 16, 32), attention_heads=2
         )
     if variant == "micro-r2plus1d":
         return models.ModelConfig(variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8, 8))

@@ -247,6 +247,25 @@ class TestTrain:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,raw", [
+        ("stage_stride", "1,0,2"),
+        ("patch_stride", "2,4"),
+        ("kv_stride", "2,2"),
+        ("kv_stride", "0,2,2"),
+    ])
+    def test_bad_stride_fails_before_training(self, mini_pipeline, tmp_path, capsys, key, raw):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\n{key} = {raw}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        value = tuple(int(v) for v in raw.split(","))
+        expected = f"error: {key} must be three positive integers, got {value}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_config_values_parse_by_field_type(self, tmp_path):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 4\nlearning_rate = 0.5\nhead = regress-1\nembed_dims = 4,8\n")

@@ -180,6 +180,23 @@ class TestForward:
             ((8, 2, 2), 64),
         ]
 
+    @pytest.mark.parametrize("frame_hw,keys", [((72, 96), 72), ((24, 32), 8), ((32, 32), 8)])
+    def test_mvit_kv_grid_is_the_same_in_every_stage(self, monkeypatch, frame_hw, keys):
+        # the adaptive K/V stride shrinks by the query stride at each stage
+        # transition: 8x3x3 keys at 72x96, 8x1x1 at 24x32 and 32x32
+        cfg = models.default_config("mini-mvit", "classify-8", frame_hw)
+        assert models.kv_stride_schedule(cfg) == [(1, 8, 8), (1, 4, 4), (1, 2, 2)]
+        seen = []
+        attention = ad.pooled_attention
+
+        def spy(q, k, v, heads):
+            seen.append(k.shape[1])
+            return attention(q, k, v, heads)
+
+        monkeypatch.setattr(ad, "pooled_attention", spy)
+        models.build_model(cfg).forward(random_batch(np.random.default_rng(6), 1, frame_hw))
+        assert seen == [keys, keys, keys]
+
     def test_multiscale_schedule_monotone(self):
         cfg = models.default_config("mini-mvit", "classify-8", (32, 24))
         schedule = models.stage_schedule(cfg)
