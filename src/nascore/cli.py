@@ -37,6 +37,13 @@ def parse_geometry(text):
     return geometry
 
 
+def positive_int(text):
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def cmd_synth(args):
     if args.smoke:
         plan = datagen.plan_smoke(args.seed)
@@ -96,44 +103,18 @@ def read_config_file(path):
     return train_overrides, model_overrides
 
 
-def write_config_echo(path, train_config, model_config):
-    lines = ["# effective run configuration"]
-    for section in (train_config, model_config):
-        for f in fields(section):
-            value = getattr(section, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def cmd_train(args):
-    train_overrides, model_overrides = ({}, {})
-    if args.config:
-        train_overrides, model_overrides = read_config_file(args.config)
+    train_overrides, model_overrides = read_config_file(args.config) if args.config else ({}, {})
     train_overrides["variant"] = MODEL_NAMES[args.model]
     train_overrides["method"] = args.method
     if args.seed is not None:
         train_overrides["seed"] = args.seed
     config = replace(training.TrainConfig(), **train_overrides)
-    config.validate()
-
-    entries = dataset.load_prepared_manifest(args.manifest)
-    model_config = training.default_model_config(config, entries)
-    if model_overrides:
-        model_config = replace(model_config, **model_overrides)
-    model_config.validate()
-
-    # run_experiment creates the run directory once every fold has trained,
-    # so a run that fails leaves nothing behind
-    out = Path(args.out)
     run = training.run_experiment(
-        args.manifest, config, jobs=args.jobs, model_config=model_config, run_dir=out
+        args.manifest, config, jobs=args.jobs, model_overrides=model_overrides, run_dir=args.out
     )
-    write_config_echo(out / "config.txt", config, model_config)
-    (out / "digest.txt").write_text(run.corpus_digest + "\n")
     n_preds = sum(len(f["predictions"]) for f in run.folds)
-    print(f"trained {config.folds} folds ({n_preds} held-out predictions) -> {out}")
+    print(f"trained {config.folds} folds ({n_preds} held-out predictions) -> {args.out}")
     return 0
 
 
@@ -214,7 +195,8 @@ def build_parser():
     p.add_argument("--config", help="key = value overrides for train/model settings")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="parallel fold workers, at most one per fold")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="aggregate run directories into one report")

@@ -225,13 +225,6 @@ def _relative_path(target: Path, base: Path) -> str:
         return Path(os.path.relpath(target, base)).as_posix()
 
 
-@dataclass(frozen=True)
-class PreparedEntry:
-    video_id: str
-    class_index: int
-    clip_path: Path
-
-
 def load_prepared_manifest(path) -> list:
     path = Path(path)
     base = path.resolve().parent
@@ -269,7 +262,7 @@ def load_prepared_manifest(path) -> list:
                     f"{path}:{lineno}: avg_nas {nas_text} does not match class {class_index}"
                     f" ({expected:.2f})"
                 )
-            entries.append(PreparedEntry(video_id, class_index, base / clip))
+            entries.append(ManifestEntry(video_id, class_index, base / clip))
     if not entries:
         raise ManifestError(f"{path}: no entries")
     return entries

@@ -73,6 +73,9 @@ class ModelConfig:
             value = getattr(self, key)
             if len(value) != 3 or any(not isinstance(v, int) or v < 1 for v in value):
                 raise ConfigError(f"{key} must be three positive integers, got {value}")
+        heads = self.attention_heads
+        if not isinstance(heads, int) or heads < 1:
+            raise ConfigError(f"attention_heads must be a positive integer, got {heads}")
         if len(self.embed_dims) != len(self.blocks):
             raise ConfigError("embed_dims and blocks must list the same number of stages")
         if self.variant == "mini-mvit":

@@ -14,6 +14,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,22 +189,12 @@ def _batch_tensor(clips, ids):
     return ad.tensor(stack)
 
 
-@dataclass
-class FoldResult:
-    fold_index: int
-    loss_history: list
-    predictions: list  # per held-out video: video_id, true_class, logits|score
-    model: models.Model = None
+def train_fold(split: FoldSplit, entry_map, model_config, config: TrainConfig):
+    """Trains one fold's fresh model; returns ``(fold dict, trained Model)``.
 
-    def to_dict(self):
-        return {
-            "fold_index": self.fold_index,
-            "loss_history": self.loss_history,
-            "predictions": self.predictions,
-        }
-
-
-def train_fold(split: FoldSplit, entry_map, model_config, config: TrainConfig) -> FoldResult:
+    The fold dict holds the fold index, the per-epoch mean loss and one
+    prediction per held-out video: its id, true class, and logits or score.
+    """
     clips = load_sampled_clips([entry_map[i] for i in split.train_ids + split.val_ids])
     model = models.build_model(model_config)
     state = AdamState()
@@ -246,12 +237,8 @@ def train_fold(split: FoldSplit, entry_map, model_config, config: TrainConfig) -
             else:
                 record["score"] = float(out[row, 0])
             predictions.append(record)
-    return FoldResult(
-        fold_index=split.fold_index,
-        loss_history=history,
-        predictions=predictions,
-        model=model,
-    )
+    fold = {"fold_index": split.fold_index, "loss_history": history, "predictions": predictions}
+    return fold, model
 
 
 @dataclass
@@ -356,49 +343,46 @@ def corpus_digest(manifest_path) -> str:
     return hashlib.sha256(Path(manifest_path).read_bytes()).hexdigest()
 
 
-def _fold_task(args):
-    split, entry_map, model_config, config = args
-    result = train_fold(split, entry_map, model_config, config)
-    return result.fold_index, result.to_dict(), {
-        name: p.data for name, p in result.model.params.items()
-    }
+def write_config_echo(path, train_config, model_config):
+    lines = ["# effective run configuration"]
+    for section in (train_config, model_config):
+        for f in fields(section):
+            value = getattr(section, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{f.name} = {value}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_experiment(
-    manifest_path, config: TrainConfig, jobs=1, model_config=None, run_dir=None
+    manifest_path, config: TrainConfig, jobs=1, model_overrides=None, run_dir=None
 ) -> ExperimentRun:
-    """Trains all folds and gathers every video's held-out prediction.
+    """Trains all folds of one (model, method) run and writes its run directory.
 
-    Fold results are reduced in fold-index order whatever the worker
+    The model is ``default_model_config`` with ``model_overrides`` applied,
+    validated before any clip is read. The folds run through one ``map``:
+    in this process when ``jobs`` is 1, else in ``min(jobs, folds)`` worker
+    processes. Results come back in fold-index order whatever the worker
     scheduling, and every randomness source derives from config.seed, so
-    reruns are byte-identical.
+    reruns are byte-identical. ``run_dir`` is created and written only once
+    every fold has trained, so a run that fails leaves nothing behind.
     """
     config.validate()
     entries = dataset.load_prepared_manifest(manifest_path)
+    model_config = replace(default_model_config(config, entries), **(model_overrides or {}))
+    model_config.validate()
     entry_map = {e.video_id: e for e in entries}
-    if model_config is None:
-        model_config = default_model_config(config, entries)
     splits = stratified_kfold(entries, config.folds, config.seed)
-
-    fold_payloads = {}
-    fold_params = {}
-    tasks = []
-    for split in splits:
-        fold_model_config = replace(
-            model_config, seed=stable_seed(config.seed, split.fold_index, "init")
-        )
-        tasks.append((split, entry_map, fold_model_config, config))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fold_index, payload, params in pool.map(_fold_task, tasks):
-                fold_payloads[fold_index] = payload
-                fold_params[fold_index] = params
+    fold_configs = [
+        replace(model_config, seed=stable_seed(config.seed, split.fold_index, "init"))
+        for split in splits
+    ]
+    tasks = (splits, repeat(entry_map), fold_configs, repeat(config))
+    if jobs == 1:
+        results = list(map(train_fold, *tasks))
     else:
-        for task in tasks:
-            fold_index, payload, params = _fold_task(task)
-            fold_payloads[fold_index] = payload
-            fold_params[fold_index] = params
+        with ProcessPoolExecutor(max_workers=min(jobs, len(splits))) as pool:
+            results = list(pool.map(train_fold, *tasks))
 
     run = ExperimentRun(
         variant=config.variant,
@@ -406,17 +390,14 @@ def run_experiment(
         train_config=asdict(config),
         model_config=models._config_to_dict(model_config),
         corpus_digest=corpus_digest(manifest_path),
-        folds=[fold_payloads[i] for i in range(config.folds)],
+        folds=[fold for fold, _ in results],
     )
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(config.folds):
-            fold_cfg = tasks[i][2]
-            model = models.Model(
-                config=fold_cfg,
-                params={k: ad.tensor(v, requires_grad=True) for k, v in fold_params[i].items()},
-            )
-            models.save_checkpoint(model, run_dir / f"fold{i}.ckpt")
+        for fold, model in results:
+            models.save_checkpoint(model, run_dir / f"fold{fold['fold_index']}.ckpt")
         (run_dir / "predictions.json").write_text(run.to_json())
+        write_config_echo(run_dir / "config.txt", config, model_config)
+        (run_dir / "digest.txt").write_text(run.corpus_digest + "\n")
     return run

@@ -128,7 +128,7 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
         if spread > 1e-2 * max(abs(fd), abs(fd_small)) and spread > 1e-8:
             continue  # kink inside the secant interval; estimator invalid here
         a = float(analytic[name].reshape(-1)[j])
-        worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
+        worst = max(worst, ad.rel_err(a, fd))
         checked += 1
     if checked < n_samples:
         raise RuntimeError(

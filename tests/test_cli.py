@@ -266,6 +266,32 @@ class TestTrain:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_bad_attention_heads_fails_before_training(
+        self, mini_pipeline, tmp_path, capsys, heads
+    ):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\nattention_heads = {heads}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: attention_heads must be a positive integer, got {heads}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_usage_error(self, mini_pipeline, tmp_path, capsys, jobs):
+        _, prepared, config = mini_pipeline
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--manifest", prepared, "--model", "cnnrnn", "--method", "direct",
+                    "--config", config, "--out", out, "--jobs", jobs)
+        assert exc.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_values_parse_by_field_type(self, tmp_path):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 4\nlearning_rate = 0.5\nhead = regress-1\nembed_dims = 4,8\n")

@@ -32,7 +32,7 @@ def sampled_clip(directory, video_id, frames):
     """Writes one clip and reads its sampled frames the way training does."""
     path = tvf.clip_path(directory, video_id)
     tvf.write_clip(path, tvf.VideoClip(frames=frames))
-    entry = dataset.PreparedEntry(video_id=video_id, class_index=0, clip_path=path)
+    entry = dataset.ManifestEntry(video_id=video_id, class_index=0, clip_path=path)
     return training.load_sampled_clips([entry])
 
 

@@ -13,7 +13,7 @@ def fake_entries(counts):
     for cls, n in enumerate(counts):
         for i in range(n):
             entries.append(
-                dataset.PreparedEntry(
+                dataset.ManifestEntry(
                     video_id=f"c{cls}_{i}",
                     class_index=cls,
                     clip_path=Path("unused.tvf"),
@@ -190,60 +190,89 @@ def tiny_model_config(head):
     )
 
 
+# default_model_config at 8x8 with these overrides is tiny_model_config
+TINY_OVERRIDES = {"embed_dims": (8, 16, 32), "attention_heads": 2}
+
+
 class TestTrainFold:
     def test_zero_epochs_gives_initial_predictions(self, tiny_corpus):
         entries = dataset.load_prepared_manifest(tiny_corpus)
         entry_map = {e.video_id: e for e in entries}
         splits = training.stratified_kfold(entries, 2, seed=0)
-        result = training.train_fold(
+        record, model = training.train_fold(
             splits[0], entry_map, tiny_model_config("classify-8"),
             tiny_train_config(epochs=0),
         )
-        assert result.loss_history == []
-        assert len(result.predictions) == len(splits[0].val_ids)
+        assert record["fold_index"] == 0
+        assert record["loss_history"] == []
+        assert len(record["predictions"]) == len(splits[0].val_ids)
+        assert model.config == tiny_model_config("classify-8")
 
     def test_history_length_equals_epochs(self, tiny_corpus):
         entries = dataset.load_prepared_manifest(tiny_corpus)
         entry_map = {e.video_id: e for e in entries}
         splits = training.stratified_kfold(entries, 2, seed=0)
-        result = training.train_fold(
+        record, _ = training.train_fold(
             splits[0], entry_map, tiny_model_config("classify-8"),
             tiny_train_config(epochs=3),
         )
-        assert len(result.loss_history) == 3
+        assert len(record["loss_history"]) == 3
 
 
 class TestRunExperiment:
     def test_coverage_and_shapes(self, tiny_corpus):
         run = training.run_experiment(
-            tiny_corpus, tiny_train_config(), model_config=tiny_model_config("classify-8")
+            tiny_corpus, tiny_train_config(), model_overrides=TINY_OVERRIDES
         )
         preds = [p for fold in run.folds for p in fold["predictions"]]
         entries = dataset.load_prepared_manifest(tiny_corpus)
         assert sorted(p["video_id"] for p in preds) == sorted(e.video_id for e in entries)
         assert all(len(p["logits"]) == 8 for p in preds)
+        assert run.model_config == models._config_to_dict(tiny_model_config("classify-8"))
 
     def test_direct_predictions_are_scalars(self, tiny_corpus):
         run = training.run_experiment(
             tiny_corpus,
             tiny_train_config(method="direct"),
-            model_config=tiny_model_config("regress-1"),
+            model_overrides=TINY_OVERRIDES,
         )
         preds = [p for fold in run.folds for p in fold["predictions"]]
         assert all(isinstance(p["score"], float) for p in preds)
         assert all("logits" not in p for p in preds)
 
     def test_same_seed_identical_serialization(self, tiny_corpus):
-        kwargs = dict(model_config=tiny_model_config("classify-8"))
+        kwargs = dict(model_overrides=TINY_OVERRIDES)
         a = training.run_experiment(tiny_corpus, tiny_train_config(seed=9), **kwargs)
         b = training.run_experiment(tiny_corpus, tiny_train_config(seed=9), **kwargs)
         assert a.to_json() == b.to_json()
 
     def test_parallel_folds_match_sequential(self, tiny_corpus):
-        kwargs = dict(model_config=tiny_model_config("classify-8"))
+        kwargs = dict(model_overrides=TINY_OVERRIDES)
         seq = training.run_experiment(tiny_corpus, tiny_train_config(seed=4), jobs=1, **kwargs)
         par = training.run_experiment(tiny_corpus, tiny_train_config(seed=4), jobs=2, **kwargs)
         assert seq.to_json() == par.to_json()
+
+    def test_pool_is_capped_at_the_fold_count(self, tiny_corpus, monkeypatch):
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
+        config = tiny_train_config(epochs=0)
+        run = training.run_experiment(tiny_corpus, config, jobs=8, model_overrides=TINY_OVERRIDES)
+        assert asked == [2]
+        assert [f["fold_index"] for f in run.folds] == [0, 1]
 
     def test_default_model_config_follows_method_and_first_clip(self, tiny_corpus):
         entries = dataset.load_prepared_manifest(tiny_corpus)
@@ -253,11 +282,16 @@ class TestRunExperiment:
 
     def test_run_dir_artifacts(self, tiny_corpus, tmp_path):
         run_dir = tmp_path / "run"
-        training.run_experiment(
-            tiny_corpus, tiny_train_config(), model_config=tiny_model_config("classify-8"),
-            run_dir=run_dir,
+        run = training.run_experiment(
+            tiny_corpus, tiny_train_config(), model_overrides=TINY_OVERRIDES, run_dir=run_dir,
         )
-        assert (run_dir / "predictions.json").exists()
-        assert (run_dir / "fold0.ckpt").exists() and (run_dir / "fold1.ckpt").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.txt", "digest.txt", "fold0.ckpt", "fold1.ckpt", "predictions.json",
+        ]
+        assert (run_dir / "predictions.json").read_text() == run.to_json()
+        assert (run_dir / "digest.txt").read_text() == training.corpus_digest(tiny_corpus) + "\n"
+        echo = (run_dir / "config.txt").read_text().splitlines()
+        assert "embed_dims = 8,16,32" in echo and "epochs = 2" in echo
         loaded = models.load_checkpoint(run_dir / "fold0.ckpt")
         assert loaded.config.variant == "mini-mvit"
+        assert loaded.config.embed_dims == (8, 16, 32)

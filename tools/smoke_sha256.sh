@@ -1,0 +1,45 @@
+#!/bin/sh
+# Runs the README smoke pipeline from the source checkout SRC in the new work
+# directory OUT and prints the sha256 of every deterministic output:
+# report.json and each run's predictions.json, config.txt, digest.txt and
+# fold<k>.ckpt. Two checkouts that print the same lines produce the same
+# smoke outputs byte for byte. JOBS (default 1) is passed to `train --jobs`.
+#
+#   tools/smoke_sha256.sh SRC OUT [JOBS]
+#
+# At the default 30 epochs the six runs take a few minutes on two cores.
+set -eu
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 SRC OUT [JOBS]" >&2
+    exit 2
+fi
+if [ -e "$2" ]; then
+    echo "$0: $2 already exists" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+jobs=${3:-1}
+
+nascore() {
+    PYTHONPATH="$src/src" python -m nascore "$@" >/dev/null
+}
+
+nascore synth --smoke --seed 0 --out "$out/corpus"
+nascore prep --corpus "$out/corpus" --out "$out/prepared.csv" --min-count 1
+printf 'learning_rate = 0.001\n' >"$out/smoke.cfg"
+set --
+for model in mvit r2plus1d cnnrnn; do
+    for method in indirect direct; do
+        run="$out/run_${model}_${method}"
+        nascore train --manifest "$out/prepared.csv" --model "$model" --method "$method" \
+            --config "$out/smoke.cfg" --out "$run" --seed 0 --jobs "$jobs"
+        set -- "$@" "$run"
+    done
+done
+nascore eval --runs "$@" --out "$out/report.json"
+
+cd "$out"
+sha256sum report.json run_*/predictions.json run_*/config.txt run_*/digest.txt run_*/fold*.ckpt
