@@ -747,8 +747,8 @@ class CheckReport:
 FD_STEP = 1e-5
 
 
-def rel_err(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
+def rel_err(a, b, floor=1e-8):
+    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
 def _seeded_inputs(kind, shapes, rng):

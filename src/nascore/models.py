@@ -5,7 +5,9 @@ pooling attention; each stage transition halves the spatial grid and
 doubles the channel width. Keys and values are pooled by MViT's adaptive
 stride: ``kv_stride`` in the last stage, and ``stage_stride`` times more
 per axis in each stage before it, so every block attends to the same K/V
-grid. micro-r2plus1d: factorized blocks of 2D spatial convolution then
+grid. Each block pools its normalized input before the Q/K/V linears run,
+which averaging makes the same function as projecting, then pooling.
+micro-r2plus1d: factorized blocks of 2D spatial convolution then
 temporal convolution, the latter a 1x3 conv2d over each pixel's (1, T)
 grid. micro-cnn-rnn: a shared 2D conv encoder per frame feeding a gated
 recurrent cell. Every convolution in these models is a conv2d plus bias,
@@ -48,6 +50,20 @@ class GeometryError(ValueError):
     pass
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what each ModelConfig field annotation admits, by name and by test;
+# validate checks every field's type before its value
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    "tuple": ("a tuple of integers", lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v)),
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str
@@ -65,19 +81,34 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, admits = _FIELD_TYPES[f.type]
+            if not admits(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
         for key in ("patch_stride", "kv_stride", "stage_stride"):
             value = getattr(self, key)
-            if len(value) != 3 or any(not isinstance(v, int) or v < 1 for v in value):
+            if len(value) != 3 or any(v < 1 for v in value):
                 raise ConfigError(f"{key} must be three positive integers, got {value}")
-        heads = self.attention_heads
-        if not isinstance(heads, int) or heads < 1:
-            raise ConfigError(f"attention_heads must be a positive integer, got {heads}")
+        if len(self.frame_hw) != 2 or min(self.frame_hw) < 1:
+            raise ConfigError(f"frame_hw must be two positive integers, got {self.frame_hw}")
+        if self.attention_heads < 1:
+            raise ConfigError(
+                f"attention_heads must be a positive integer, got {self.attention_heads}"
+            )
+        if not self.embed_dims or min(self.embed_dims) < 1 or min(self.blocks, default=0) < 0:
+            raise ConfigError(
+                f"embed_dims must be one or more positive widths and blocks non-negative counts, "
+                f"got {self.embed_dims} and {self.blocks}"
+            )
         if len(self.embed_dims) != len(self.blocks):
             raise ConfigError("embed_dims and blocks must list the same number of stages")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.variant == "mini-mvit":
             if N_FRAMES % self.patch_stride[0] != 0:
                 raise ConfigError(
@@ -91,6 +122,8 @@ class ModelConfig:
             for a, b in zip(self.embed_dims, self.embed_dims[1:]):
                 if b != 2 * a:
                     raise ConfigError(f"stage dims must double, got {self.embed_dims}")
+            if round(self.mlp_ratio * self.embed_dims[0]) < 1:
+                raise ConfigError(f"mlp_ratio {self.mlp_ratio} leaves stage 0 no MLP width")
         if self.hidden_size < 1:
             raise ConfigError("hidden_size must be positive")
 
@@ -269,15 +302,14 @@ def _affine_norm(params, name, x):
     return ad.add(ad.multiply(normed, params[f"{name}.g"]), params[f"{name}.b"])
 
 
-def _pool_tokens(tokens, dims, stride):
-    """Average-pools a flattened (B, N, C) token tensor on its 3-d grid."""
+def _pool_grid(grid, stride) -> TokenGrid:
+    """Average-pools a token grid on its 3-d extents (ceil mode)."""
     if all(s == 1 for s in stride):
-        return tokens, tuple(dims)
-    b, _, c = tokens.shape
-    grid = ad.reshape(tokens, (b, *dims, c))
-    pooled = ad.avg_pool(grid, stride)
-    new_dims = tuple(_ceil_div(n, s) for n, s in zip(dims, stride))
-    return ad.reshape(pooled, (b, int(np.prod(new_dims)), c)), new_dims
+        return grid
+    b, _, c = grid.tokens.shape
+    pooled = ad.avg_pool(ad.reshape(grid.tokens, (b, *grid.dims, c)), stride)
+    dims = tuple(_ceil_div(n, s) for n, s in zip(grid.dims, stride))
+    return TokenGrid(tokens=ad.reshape(pooled, (b, int(np.prod(dims)), c)), dims=dims)
 
 
 def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
@@ -309,30 +341,36 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
     return TokenGrid(tokens=tokens, dims=(gt, gh, gw))
 
 
-def pooling_attention(params, prefix, grid: TokenGrid, heads, kv_stride, q_stride):
-    """Multi-head attention with average-pooled keys/values (and queries at
-    stage transitions), run as one fused ``pooled_attention`` op; the pooled
-    query tensor is added back before the output projection.
+def pooling_attention(params, prefix, grid: TokenGrid, query: TokenGrid, heads, kv_pool):
+    """Multi-head attention of ``query``, the block input ``grid`` pooled by
+    the query stride, over keys and values pooled from ``grid`` once by
+    ``kv_pool`` per axis, run as one fused ``pooled_attention`` op; the
+    projected query tensor is added back before the output projection.
 
-    ``kv_stride`` is measured on the pooled query grid: keys and values are
-    pooled from the input grid by q_stride * kv_stride per axis."""
-    x, dims = grid.tokens, grid.dims
-    q, q_dims = _pool_tokens(_dense(params, f"{prefix}.q", x), dims, q_stride)
-    kv_pool = tuple(a * b for a, b in zip(q_stride, kv_stride))
-    k, _ = _pool_tokens(_dense(params, f"{prefix}.k", x), dims, kv_pool)
-    v, _ = _pool_tokens(_dense(params, f"{prefix}.v", x), dims, kv_pool)
+    The Q/K/V linears run on the pooled rows. Averaging commutes with an
+    affine map, ceil-mode truncated windows included, so this is MViT's
+    project-then-pool up to float summation order."""
+    kv = _pool_grid(grid, kv_pool).tokens
+    q = _dense(params, f"{prefix}.q", query.tokens)
+    k = _dense(params, f"{prefix}.k", kv)
+    v = _dense(params, f"{prefix}.v", kv)
     out = ad.add(ad.pooled_attention(q, k, v, heads), q)
     out = _dense(params, f"{prefix}.proj", out)
-    return TokenGrid(tokens=out, dims=q_dims)
+    return TokenGrid(tokens=out, dims=query.dims)
 
 
 def _mvit_block(params, prefix, grid, heads, kv_stride, q_stride, dim_in, dim_out):
-    normed = _affine_norm(params, f"{prefix}.ln1", grid.tokens)
-    attn = pooling_attention(
-        params, prefix, TokenGrid(tokens=normed, dims=grid.dims), heads, kv_stride, q_stride
-    )
-    skip_src = grid.tokens if dim_in == dim_out else _dense(params, f"{prefix}.skip", normed)
-    skip, _ = _pool_tokens(skip_src, grid.dims, q_stride)
+    """``kv_stride`` is measured on the query grid, so keys and values are
+    pooled from the input grid by q_stride * kv_stride."""
+    normed = TokenGrid(_affine_norm(params, f"{prefix}.ln1", grid.tokens), grid.dims)
+    query = _pool_grid(normed, q_stride)
+    kv_pool = tuple(a * b for a, b in zip(q_stride, kv_stride))
+    attn = pooling_attention(params, prefix, normed, query, heads, kv_pool)
+    if dim_in == dim_out:
+        skip = _pool_grid(grid, q_stride).tokens
+    else:
+        # a stage transition projects its skip from the queries' pooled rows
+        skip = _dense(params, f"{prefix}.skip", query.tokens)
     x = ad.add(skip, attn.tokens)
     h = _affine_norm(params, f"{prefix}.ln2", x)
     m = _dense(params, f"{prefix}.mlp2", ad.relu(_dense(params, f"{prefix}.mlp1", h)))
@@ -482,32 +520,32 @@ def load_checkpoint(path) -> Model:
             (header_len,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(header_len).decode())
             config = _config_from_dict(header["config"])
-            index = header["params"]
+            index = [(item["name"], tuple(item["shape"]), item["offset"]) for item in header["params"]]
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: unreadable checkpoint header ({exc})")
         payload = fh.read()
     expected = build_model(config).params
+    layout = []
     offset = 0
-    for item in index:
-        name, shape = item["name"], tuple(item["shape"])
-        if name not in expected:
+    for name, shape, at in index:
+        if not isinstance(name, str) or name not in expected:
             raise ConfigError(f"{path}: unexpected parameter {name!r} for {config.variant}")
         want = expected.pop(name).shape
         if shape != want:
             raise ConfigError(f"{path}: parameter {name!r} has shape {shape}, expected {want}")
-        if item["offset"] != offset:
-            raise ConfigError(f"{path}: parameter {name!r} at offset {item['offset']}, not {offset}")
-        offset += int(np.prod(shape))
+        if at != offset:
+            raise ConfigError(f"{path}: parameter {name!r} at offset {at!r}, not {offset}")
+        layout.append((name, want, offset))
+        offset += int(np.prod(want))
     if expected:
         raise ConfigError(f"{path}: parameter {next(iter(expected))!r} missing")
     if len(payload) != 8 * offset:
         raise ConfigError(f"{path}: payload holds {len(payload)} bytes, expected {8 * offset}")
     flat = np.frombuffer(payload, dtype="<f8")
-    params = {}
-    for item in index:
-        start = item["offset"]
-        arr = flat[start : start + int(np.prod(item["shape"]))].reshape(item["shape"])
-        params[item["name"]] = ad.tensor(arr, requires_grad=True)
+    params = {
+        name: ad.tensor(flat[start : start + int(np.prod(shape))].reshape(shape), requires_grad=True)
+        for name, shape, start in layout
+    }
     return Model(config=config, params=params)
 
 

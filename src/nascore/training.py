@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -365,7 +367,8 @@ def run_experiment(
     processes. Results come back in fold-index order whatever the worker
     scheduling, and every randomness source derives from config.seed, so
     reruns are byte-identical. ``run_dir`` is created and written only once
-    every fold has trained, so a run that fails leaves nothing behind.
+    every fold has trained, and its files take their names only once all
+    are written, so a run that fails leaves nothing behind.
     """
     config.validate()
     entries = dataset.load_prepared_manifest(manifest_path)
@@ -393,11 +396,33 @@ def run_experiment(
         folds=[fold for fold, _ in results],
     )
     if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for fold, model in results:
-            models.save_checkpoint(model, run_dir / f"fold{fold['fold_index']}.ckpt")
-        (run_dir / "predictions.json").write_text(run.to_json())
-        write_config_echo(run_dir / "config.txt", config, model_config)
-        (run_dir / "digest.txt").write_text(run.corpus_digest + "\n")
+        writers = {
+            f"fold{fold['fold_index']}.ckpt": partial(models.save_checkpoint, model)
+            for fold, model in results
+        }
+        writers["predictions.json"] = lambda path: path.write_text(run.to_json())
+        writers["config.txt"] = lambda path: write_config_echo(path, config, model_config)
+        writers["digest.txt"] = lambda path: path.write_text(run.corpus_digest + "\n")
+        _write_run_dir(Path(run_dir), writers)
     return run
+
+
+def _write_run_dir(run_dir, writers):
+    """Calls each ``writers[name](path)`` on a temporary name in ``run_dir``
+    and moves the files to their names only once all are written, so a
+    failed write leaves no run file, and no ``run_dir`` it created."""
+    created = not run_dir.exists()
+    run_dir.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, write in writers.items():
+            staged.append((run_dir / f".{name}.tmp", run_dir / name))
+            write(staged[-1][0])
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        if created:
+            run_dir.rmdir()
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)

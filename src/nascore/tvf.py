@@ -8,6 +8,7 @@ frame.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,11 +53,14 @@ def write_clip(path, clip: VideoClip):
 def read_header(path):
     """Returns (T, H, W, fps) without loading pixel data."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    return _parse_header(path, raw)
+        return _read_header(path, fh)[:4]
 
 
-def _parse_header(path, raw):
+def _read_header(path, fh):
+    """Parses the header at the start of the open file ``fh``. Returns
+    (T, H, W, fps, bytes after the header); one frame must fit in those
+    bytes, so no extents in a header can size an array past the file."""
+    raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise TvfError(f"{path}: truncated header")
     magic, t, h, w, fps, dtype, reserved = _HEADER.unpack(raw)
@@ -64,15 +68,18 @@ def _parse_header(path, raw):
         raise TvfError(f"{path}: bad magic {magic!r}")
     if dtype != DTYPE_U16:
         raise TvfError(f"{path}: unsupported dtype code {dtype}")
-    return t, h, w, fps
+    held = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if not 0 < 2 * h * w <= held:
+        raise TvfError(f"{path}: {h}x{w} frames do not fit in its {held} sample bytes")
+    return t, h, w, fps, held
 
 
 def read_clip(path) -> VideoClip:
     with open(path, "rb") as fh:
-        t, h, w, fps = _parse_header(path, fh.read(_HEADER.size))
+        t, h, w, fps, held = _read_header(path, fh)
+        if held // 2 < t * h * w:
+            raise TvfError(f"{path}: expected {t * h * w} samples, found {held // 2}")
         data = np.fromfile(fh, dtype="<u2", count=t * h * w)
-    if data.size != t * h * w:
-        raise TvfError(f"{path}: expected {t * h * w} samples, found {data.size}")
     return VideoClip(frames=data.reshape(t, h, w).astype(np.uint16), fps=fps)
 
 
@@ -80,17 +87,17 @@ def read_frames(path, indices) -> np.ndarray:
     """Reads only the frames at ``indices`` (sorted unique), as one array."""
     indices = sorted(set(int(i) for i in indices))
     with open(path, "rb") as fh:
-        t, h, w, _ = _parse_header(path, fh.read(_HEADER.size))
+        t, h, w, _, held = _read_header(path, fh)
         if indices and (indices[0] < 0 or indices[-1] >= t):
             raise TvfError(f"{path}: frame index out of range 0..{t - 1}")
         frame_bytes = h * w * 2
+        for idx in indices:
+            if (idx + 1) * frame_bytes > held:
+                raise TvfError(f"{path}: truncated at frame {idx}")
         out = np.empty((len(indices), h, w), dtype=np.uint16)
         for row, idx in enumerate(indices):
             fh.seek(_HEADER.size + idx * frame_bytes)
-            raw = fh.read(frame_bytes)
-            if len(raw) != frame_bytes:
-                raise TvfError(f"{path}: truncated at frame {idx}")
-            out[row] = np.frombuffer(raw, dtype="<u2").reshape(h, w)
+            out[row] = np.frombuffer(fh.read(frame_bytes), dtype="<u2").reshape(h, w)
     return out
 
 

@@ -70,6 +70,17 @@ def _fd_config(variant):
     )
 
 
+def fd_floor(loss, step):
+    """The smallest derivative that a central difference of a loss valued
+    ``loss`` at step ``step`` resolves to MODEL_TOLERANCE:
+    8 * eps * |loss| / (step * MODEL_TOLERANCE).
+
+    Each loss value is rounded, so the difference quotient carries noise of
+    about eps * |loss| / step; the factor 8 is headroom for the rounding of
+    the forward pass (the gradcheck models stay within 1.1 of that unit)."""
+    return 8 * np.finfo(float).eps * abs(loss) / (step * MODEL_TOLERANCE)
+
+
 def model_grad_check(variant, seed, n_samples=20, step=1e-5):
     """Max relative error of d(loss)/d(param) against central differences
     for a random sample of parameters on a 2-clip batch.
@@ -82,6 +93,12 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
     another parameter is drawn instead. A wrong gradient still fails,
     since there both estimates agree with each other and not the analytic
     value.
+
+    The relative error's denominator is floored at ``fd_floor(L, step)``
+    for the batch loss L, about 7e-7 at L = 4 and step 1e-5, since the
+    difference quotient cannot resolve a smaller derivative: a parameter
+    whose true derivative is 0 (a K bias, as softmax ignores a per-query
+    constant) reads its rounding noise against that floor.
     """
     config = replace(_fd_config(variant), seed=stable_seed(seed, variant, "init"))
     model = models.build_model(config)
@@ -91,6 +108,7 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
 
     out = model.forward(ad.tensor(batch))
     loss = training.loss_indirect(out, classes)
+    floor = fd_floor(loss.item(), step)
     gmap = ad.backward(loss)
     analytic = {
         name: (gmap[p.node_id].data if p.node_id in gmap else np.zeros(p.shape))
@@ -128,7 +146,7 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
         if spread > 1e-2 * max(abs(fd), abs(fd_small)) and spread > 1e-8:
             continue  # kink inside the secant interval; estimator invalid here
         a = float(analytic[name].reshape(-1)[j])
-        worst = max(worst, ad.rel_err(a, fd))
+        worst = max(worst, ad.rel_err(a, fd, floor))
         checked += 1
     if checked < n_samples:
         raise RuntimeError(

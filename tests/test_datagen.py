@@ -1,5 +1,11 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nascore import datagen, dataset, tvf
 
@@ -197,3 +203,62 @@ class TestTvf:
         # frames 0..349 survive; the first sampled frame past them is 350
         with pytest.raises(tvf.TvfError, match="truncated at frame 350"):
             tvf.read_frames(path, dataset.sample_indices(700))
+
+
+@st.composite
+def tvf_bytes(draw):
+    """A small clip's bytes truncated, with one byte replaced, or behind a
+    header of any extents (up to 2**32 - 1 each); or arbitrary bytes."""
+    kind = draw(st.sampled_from(["truncated", "byte", "header", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(st.binary(max_size=64))
+    if kind == "header":
+        t, h, w, fps = (draw(st.integers(0, 2**32 - 1)) for _ in range(4))
+        dtype = draw(st.sampled_from([0, 0, 1, 255]))
+        header = struct.pack("<4sIIIIB3s", tvf.MAGIC, t, h, w, fps, dtype, b"\x00" * 3)
+        return header + draw(st.binary(max_size=64))
+    frames = np.arange(3 * 2 * 4, dtype=np.uint16).reshape(3, 2, 4)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "c.tvf"
+        tvf.write_clip(path, tvf.VideoClip(frames=frames))
+        data = bytearray(path.read_bytes())
+    if kind == "truncated":
+        return bytes(data[: draw(st.integers(0, len(data)))])
+    data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestTvfFuzz:
+    @given(tvf_bytes(), st.lists(st.integers(0, 20), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_parse_or_raise_tvf_error(self, data, indices):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "x.tvf"
+            path.write_bytes(data)
+            for read in (
+                tvf.read_header,
+                tvf.read_clip,
+                lambda p: tvf.read_frames(p, indices),
+            ):
+                try:
+                    read(path)
+                except tvf.TvfError:
+                    pass
+
+    @pytest.mark.parametrize("t, h, w", [(2**32 - 1,) * 3, (0, 2**31, 2**31), (1, 0, 4)])
+    def test_frames_larger_than_the_file(self, tmp_path, t, h, w):
+        # once OverflowError, ValueError or MemoryError from sizing the arrays
+        path = tmp_path / "big.tvf"
+        path.write_bytes(struct.pack("<4sIIIIB3s", tvf.MAGIC, t, h, w, 6, 0, b"\x00" * 3) + b"\x01" * 8)
+        for read in (tvf.read_header, tvf.read_clip, lambda p: tvf.read_frames(p, [])):
+            with pytest.raises(tvf.TvfError, match=f"{h}x{w} frames do not fit in its 8 sample bytes"):
+                read(path)
+
+    def test_clip_shorter_than_its_header(self, tmp_path):
+        path = tmp_path / "short.tvf"
+        path.write_bytes(struct.pack("<4sIIIIB3s", tvf.MAGIC, 2**32 - 1, 2, 2, 6, 0, b"\x00" * 3) + b"\x01" * 8)
+        with pytest.raises(tvf.TvfError, match=f"expected {(2**32 - 1) * 4} samples, found 4"):
+            tvf.read_clip(path)
+        np.testing.assert_array_equal(tvf.read_frames(path, [0]), np.ones((1, 2, 2)) * 257)
+        with pytest.raises(tvf.TvfError, match="truncated at frame 1"):
+            tvf.read_frames(path, [0, 1, 2])

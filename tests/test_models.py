@@ -1,5 +1,12 @@
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nascore import autodiff as ad
 from nascore import dataset, models
@@ -110,14 +117,15 @@ class TestPoolingAttention:
         rng = np.random.default_rng(2)
         params = self.make_block_params(rng, 16)
         grid = models.TokenGrid(ad.tensor(rng.standard_normal((1, 512, 16))), (8, 8, 8))
-        out = models.pooling_attention(params, "blk", grid, 2, (1, 2, 2), (1, 1, 1))
+        out = models.pooling_attention(params, "blk", grid, grid, 2, (1, 2, 2))
         assert out.dims == (8, 8, 8)
 
     def test_query_stride_pools_grid(self):
         rng = np.random.default_rng(3)
         params = self.make_block_params(rng, 16)
         grid = models.TokenGrid(ad.tensor(rng.standard_normal((1, 512, 16))), (8, 8, 8))
-        out = models.pooling_attention(params, "blk", grid, 2, (1, 2, 2), (1, 2, 2))
+        query = models._pool_grid(grid, (1, 2, 2))
+        out = models.pooling_attention(params, "blk", grid, query, 2, (1, 4, 4))
         assert out.dims == (8, 4, 4)
         assert out.tokens.shape == (1, 128, 16)
 
@@ -128,9 +136,83 @@ class TestPoolingAttention:
             params[f"blk.{name}.w"] = ad.zeros((16, 16))
             params[f"blk.{name}.b"] = ad.zeros((16,))
         grid = models.TokenGrid(ad.tensor(rng.standard_normal((2, 512, 16))), (8, 8, 8))
-        out = models.pooling_attention(params, "blk", grid, 2, (1, 2, 2), (1, 2, 2))
+        query = models._pool_grid(grid, (1, 2, 2))
+        out = models.pooling_attention(params, "blk", grid, query, 2, (1, 4, 4))
         pooled_query = np.zeros((2, 128, 16))  # zero projection pools to zero
         np.testing.assert_array_equal(out.tokens.data, pooled_query)
+
+
+def pool_reference(x, dims, stride):
+    """Ceil-mode average pooling of (B, N, C) tokens on a 3-d grid, one
+    window at a time; a window cut by the grid edge averages what it covers."""
+    b, _, c = x.shape
+    grid = x.reshape(b, *dims, c)
+    outs = [-(-n // s) for n, s in zip(dims, stride)]
+    out = np.empty((b, *outs, c))
+    for cell in np.ndindex(*outs):
+        window = tuple(slice(i * s, (i + 1) * s) for i, s in zip(cell, stride))
+        out[(slice(None), *cell)] = grid[(slice(None), *window)].mean(axis=(1, 2, 3))
+    return out.reshape(b, -1, c)
+
+
+def mvit_block_reference(params, prefix, x, dims, heads, kv_stride, q_stride, dim_in, dim_out):
+    """One mini-mvit block in MViT's order: project every input token, then
+    pool Q and the transition skip by q_stride and K, V by q_stride *
+    kv_stride."""
+    def dense(name, rows):
+        return rows @ params[f"{prefix}.{name}.w"].data + params[f"{prefix}.{name}.b"].data
+
+    def norm(name, rows):
+        xc = rows - rows.mean(axis=-1, keepdims=True)
+        xhat = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        return xhat * params[f"{prefix}.{name}.g"].data + params[f"{prefix}.{name}.b"].data
+
+    kv_pool = tuple(a * b for a, b in zip(q_stride, kv_stride))
+    normed = norm("ln1", x)
+    q = pool_reference(dense("q", normed), dims, q_stride)
+    k = pool_reference(dense("k", normed), dims, kv_pool)
+    v = pool_reference(dense("v", normed), dims, kv_pool)
+    b, nq, c = q.shape
+    d = c // heads
+
+    def split(t):
+        return t.reshape(b, -1, heads, d).transpose(0, 2, 1, 3)
+
+    logits = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(d)
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    ctx = (w @ split(v)).transpose(0, 2, 1, 3).reshape(b, nq, c)
+    skip = x if dim_in == dim_out else dense("skip", normed)
+    h = pool_reference(skip, dims, q_stride) + dense("proj", ctx + q)
+    return h + dense("mlp2", np.maximum(dense("mlp1", norm("ln2", h)), 0.0))
+
+
+class TestPoolBeforeProject:
+    # 18, 19, 23 and 24 are not multiples of 8, so K/V windows are truncated;
+    # at 19x23 the query windows are too, so pooling the query grid again
+    # by kv_stride would average the K/V windows with other weights
+    @pytest.mark.parametrize(
+        "dims, q_stride, kv_stride, dim_in",
+        [((8, 18, 24), (1, 1, 1), (1, 8, 8), 16), ((8, 19, 23), (1, 2, 2), (1, 4, 4), 8)],
+    )
+    def test_block_matches_project_then_pool(self, dims, q_stride, kv_stride, dim_in):
+        rng = np.random.default_rng(12)
+        dim, heads = 16, 2
+        shapes = {"q": (dim_in, dim), "k": (dim_in, dim), "v": (dim_in, dim),
+                  "skip": (dim_in, dim), "proj": (dim, dim), "mlp1": (dim, 32), "mlp2": (32, dim)}
+        params = {}
+        for name, shape in shapes.items():
+            params[f"blk.{name}.w"] = ad.tensor(rng.standard_normal(shape) * 0.3)
+            params[f"blk.{name}.b"] = ad.tensor(rng.standard_normal(shape[1]) * 0.5)
+        for name, width in (("ln1", dim_in), ("ln2", dim)):
+            params[f"blk.{name}.g"] = ad.tensor(1.0 + rng.standard_normal(width) * 0.2)
+            params[f"blk.{name}.b"] = ad.tensor(rng.standard_normal(width) * 0.5)
+        x = rng.standard_normal((2, int(np.prod(dims)), dim_in))
+        grid = models.TokenGrid(ad.tensor(x), dims)
+        out = models._mvit_block(params, "blk", grid, heads, kv_stride, q_stride, dim_in, dim)
+        ref = mvit_block_reference(params, "blk", x, dims, heads, kv_stride, q_stride, dim_in, dim)
+        assert out.dims == tuple(-(-n // s) for n, s in zip(dims, q_stride))
+        np.testing.assert_allclose(out.tokens.data, ref, rtol=0, atol=1e-12)
 
 
 class TestForward:
@@ -275,3 +357,100 @@ class TestCheckpoint:
         models.save_checkpoint(models.Model(config=model.config, params=params), path)
         with pytest.raises(models.ConfigError, match="unexpected parameter 'extra'"):
             models.load_checkpoint(path)
+
+
+def checkpoint_bytes(model):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.ckpt"
+        models.save_checkpoint(model, path)
+        return path.read_bytes()
+
+
+# every value is small, so no drawn config can ask for a large model
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-4, 4) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def checkpoint_files(draw):
+    """A micro cnn-rnn checkpoint truncated or with one byte replaced, one
+    whose header has config fields, config or index entries replaced by
+    small JSON values, or arbitrary bytes after the magic or without it."""
+    data = checkpoint_bytes(models.build_model(micro_config("micro-cnn-rnn")))
+    kind = draw(st.sampled_from(["truncated", "byte", "header", "arbitrary"]))
+    if kind == "truncated":
+        return data[: draw(st.integers(0, len(data)))]
+    if kind == "byte":
+        out = bytearray(data)
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    if kind == "arbitrary":
+        prefix = draw(st.sampled_from([b"", models.CHECKPOINT_MAGIC]))
+        return prefix + draw(st.binary(max_size=48))
+    target = draw(st.sampled_from(["config field", "config", "index entry", "index"]))
+    value = draw(SMALL_JSON)
+
+    def edit(header):
+        if target == "config field":
+            header["config"][draw(st.sampled_from(sorted(header["config"])))] = value
+        elif target == "config":
+            header["config"] = value
+        elif target == "index entry":
+            header["params"][draw(st.integers(0, len(header["params"]) - 1))] = value
+        else:
+            header["params"] = value
+
+    return with_header(data, edit)
+
+
+def with_header(data, edit):
+    """Checkpoint bytes ``data`` with ``edit`` applied to the parsed header."""
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    return data[:8] + struct.pack("<I", len(encoded)) + encoded + data[12 + header_len :]
+
+
+class TestCheckpointFuzz:
+    # values the fuzzer found ending in TypeError, ValueError or KeyError
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("config", "seed", -1, "seed must be non-negative"),
+            ("config", "seed", "x", "seed must be an integer"),
+            ("config", "hidden_size", None, "hidden_size must be an integer"),
+            ("config", "mlp_ratio", "2", "mlp_ratio must be a finite number"),
+            ("config", "frame_hw", [8], "frame_hw must be two positive integers"),
+            ("config", "embed_dims", [], "embed_dims must be one or more positive widths"),
+            ("config", "head", [], "head must be a string"),
+            ("params", 0, {"name": ["w"], "shape": [1], "offset": 0}, "unexpected parameter"),
+            ("params", 0, {"name": "head.b", "shape": None, "offset": 0}, "unreadable checkpoint"),
+            ("params", 0, {"name": "head.b", "shape": [8]}, "unreadable checkpoint header"),
+            ("params", 0, None, "unreadable checkpoint header"),
+        ],
+    )
+    def test_malformed_header_value_is_config_error(self, tmp_path, section, key, value, message):
+        def edit(header):
+            header[section][key] = value
+
+        data = checkpoint_bytes(models.build_model(micro_config("micro-cnn-rnn")))
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(with_header(data, edit))
+        with pytest.raises(models.ConfigError, match=message):
+            models.load_checkpoint(path)
+
+    @given(checkpoint_files())
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_load_or_raise_config_error(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "x.ckpt"
+            path.write_bytes(data)
+            try:
+                model = models.load_checkpoint(path)
+            except models.ConfigError:
+                return
+        assert models.build_model(model.config).params.keys() == model.params.keys()

@@ -295,3 +295,26 @@ class TestRunExperiment:
         loaded = models.load_checkpoint(run_dir / "fold0.ckpt")
         assert loaded.config.variant == "mini-mvit"
         assert loaded.config.embed_dims == (8, 16, 32)
+
+    def test_failed_write_leaves_no_run_file(self, tiny_corpus, tmp_path, monkeypatch):
+        saved = []
+        real_save = models.save_checkpoint
+
+        def save_then_fail(model, path):
+            if "fold1" in path.name:
+                raise OSError("disk full")
+            saved.append(path)
+            return real_save(model, path)
+
+        monkeypatch.setattr(models, "save_checkpoint", save_then_fail)
+        existing, fresh = tmp_path / "existing", tmp_path / "fresh"
+        existing.mkdir()
+        for run_dir in (existing, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                training.run_experiment(
+                    tiny_corpus, tiny_train_config(epochs=0), model_overrides=TINY_OVERRIDES,
+                    run_dir=run_dir,
+                )
+        assert len(saved) == 2  # the first fold's checkpoint was written, each time
+        assert list(existing.iterdir()) == []
+        assert not fresh.exists()
