@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,40 +89,58 @@ class LabelRecord:
     clip_path: Path
 
 
+def _csv_rows(path):
+    """Yields the rows of the UTF-8 CSV file at ``path``; a row the csv
+    module cannot parse, such as one with a field over its size limit, or
+    bytes that are not UTF-8 raise ManifestError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_labels(manifest_path) -> list:
     """Parses the corpus label manifest; clip paths resolve to sibling TVFs."""
     manifest_path = Path(manifest_path)
     expected_header = ["video_id", *ACTIVITY_FIELDS]
     records = []
     seen = set()
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ManifestError(f"{manifest_path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + N_ACTIVITIES:
-                raise ManifestError(
-                    f"{manifest_path}:{lineno}: expected {1 + N_ACTIVITIES} columns, got {len(row)}"
-                )
-            video_id = row[0]
-            if video_id in seen:
-                raise ManifestError(f"{manifest_path}:{lineno}: duplicate video_id {video_id!r}")
-            seen.add(video_id)
-            flags = []
-            for value in row[1:]:
-                if value not in ("0", "1"):
-                    raise ManifestError(
-                        f"{manifest_path}:{lineno}: malformed flag {value!r} (must be 0 or 1)"
-                    )
-                flags.append(int(value))
-            records.append(
-                LabelRecord(
-                    video_id=video_id,
-                    flags=tuple(flags),
-                    clip_path=tvf.clip_path(manifest_path.parent, video_id),
-                )
+    rows = _csv_rows(manifest_path)
+    header = next(rows, None)
+    if header != expected_header:
+        raise ManifestError(f"{manifest_path}: bad header {header}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 1 + N_ACTIVITIES:
+            raise ManifestError(
+                f"{manifest_path}:{lineno}: expected {1 + N_ACTIVITIES} columns, got {len(row)}"
             )
+        video_id = row[0]
+        # the id names its clip file in the corpus directory
+        if video_id in ("", ".", "..") or any(c in video_id for c in "/\\\0"):
+            raise ManifestError(
+                f"{manifest_path}:{lineno}: video_id {video_id!r} is not a file name"
+            )
+        if video_id in seen:
+            raise ManifestError(f"{manifest_path}:{lineno}: duplicate video_id {video_id!r}")
+        seen.add(video_id)
+        flags = []
+        for value in row[1:]:
+            if value not in ("0", "1"):
+                raise ManifestError(
+                    f"{manifest_path}:{lineno}: malformed flag {value!r} (must be 0 or 1)"
+                )
+            flags.append(int(value))
+        records.append(
+            LabelRecord(
+                video_id=video_id,
+                flags=tuple(flags),
+                clip_path=tvf.clip_path(manifest_path.parent, video_id),
+            )
+        )
     return records
 
 
@@ -207,22 +226,13 @@ def write_prepared_manifest(manifest: Manifest, out_path) -> Path:
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     base = out_path.resolve().parent
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREPARED_HEADER)
         for e in manifest.entries:
-            rel = _relative_path(e.clip_path.resolve(), base)
+            rel = Path(os.path.relpath(e.clip_path.resolve(), base)).as_posix()
             writer.writerow([e.video_id, e.class_index, f"{avg_nas(e.class_index):.2f}", rel])
     return out_path
-
-
-def _relative_path(target: Path, base: Path) -> str:
-    try:
-        return target.relative_to(base).as_posix()
-    except ValueError:
-        import os
-
-        return Path(os.path.relpath(target, base)).as_posix()
 
 
 def load_prepared_manifest(path) -> list:
@@ -230,39 +240,38 @@ def load_prepared_manifest(path) -> list:
     base = path.resolve().parent
     entries = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PREPARED_HEADER:
-            raise ManifestError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            video_id, class_text, nas_text, clip = row
-            if video_id in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
-            seen.add(video_id)
-            try:
-                class_index = int(class_text)
-            except ValueError:
-                raise ManifestError(f"{path}:{lineno}: malformed class_index {class_text!r}")
-            if not 0 <= class_index < len(ACTIVITY_TABLE):
-                last = len(ACTIVITY_TABLE) - 1
-                raise ManifestError(f"{path}:{lineno}: class_index {class_index} outside 0..{last}")
-            # nan and inf parse as floats; they are malformed, not a score of another class
-            try:
-                avg = float(nas_text)
-            except ValueError:
-                avg = math.nan
-            if not math.isfinite(avg):
-                raise ManifestError(f"{path}:{lineno}: malformed avg_nas {nas_text!r}")
-            expected = avg_nas(class_index)
-            if avg != expected:
-                raise ManifestError(
-                    f"{path}:{lineno}: avg_nas {nas_text} does not match class {class_index}"
-                    f" ({expected:.2f})"
-                )
-            entries.append(ManifestEntry(video_id, class_index, base / clip))
+    rows = _csv_rows(path)
+    header = next(rows, None)
+    if header != PREPARED_HEADER:
+        raise ManifestError(f"{path}: bad header {header}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 4:
+            raise ManifestError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        video_id, class_text, nas_text, clip = row
+        if video_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
+        seen.add(video_id)
+        try:
+            class_index = int(class_text)
+        except ValueError:
+            raise ManifestError(f"{path}:{lineno}: malformed class_index {class_text!r}")
+        if not 0 <= class_index < len(ACTIVITY_TABLE):
+            last = len(ACTIVITY_TABLE) - 1
+            raise ManifestError(f"{path}:{lineno}: class_index {class_index} outside 0..{last}")
+        # nan and inf parse as floats; they are malformed, not a score of another class
+        try:
+            avg = float(nas_text)
+        except ValueError:
+            avg = math.nan
+        if not math.isfinite(avg):
+            raise ManifestError(f"{path}:{lineno}: malformed avg_nas {nas_text!r}")
+        expected = avg_nas(class_index)
+        if avg != expected:
+            raise ManifestError(
+                f"{path}:{lineno}: avg_nas {nas_text} does not match class {class_index}"
+                f" ({expected:.2f})"
+            )
+        entries.append(ManifestEntry(video_id, class_index, base / clip))
     if not entries:
         raise ManifestError(f"{path}: no entries")
     return entries

@@ -210,7 +210,3 @@ def emit_report(results, path, provenance=None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def parse_report(path) -> dict:
-    return json.loads(Path(path).read_text())

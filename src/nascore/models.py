@@ -54,14 +54,23 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# what each ModelConfig field annotation admits, by name and by test;
-# validate checks every field's type before its value
+# what each config field annotation admits, by name and by test; both
+# configs' validate methods check every field's type before its value
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", _is_int),
     "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
     "tuple": ("a tuple of integers", lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v)),
 }
+
+
+def check_field_types(config):
+    """Raises ConfigError at the first field of ``config`` of a wrong type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, admits = _FIELD_TYPES[f.type]
+        if not admits(value):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, admits = _FIELD_TYPES[f.type]
-            if not admits(value):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.head not in HEADS:
@@ -484,83 +489,20 @@ CHECKPOINT_MAGIC = b"NASCKPT1"
 
 
 def save_checkpoint(model: Model, path):
-    names = list(model.params)
-    offset = 0
+    """Writes the magic, a u32 LE header length, the JSON header ``{config,
+    params: [{name, shape, offset}]}`` and the parameters as f8 LE values,
+    back to back at those offsets. nascore never reads a checkpoint back."""
     index = []
-    chunks = []
-    for name in names:
-        arr = model.params[name].data
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-        chunks.append(arr.reshape(-1))
-    header = json.dumps(
-        {"config": _config_to_dict(model.config), "params": index}, sort_keys=True
-    ).encode()
-    flat = np.concatenate(chunks) if chunks else np.zeros(0)
+    offset = 0
+    for name, p in model.params.items():
+        index.append({"name": name, "shape": list(p.shape), "offset": offset})
+        offset += p.data.size
+    config = asdict(model.config)
+    header = json.dumps({"config": config, "params": index}, sort_keys=True).encode()
+    flat = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         fh.write(flat.astype("<f8").tobytes())
     return Path(path)
-
-
-def load_checkpoint(path) -> Model:
-    """Reads a checkpoint, checked against the model its config builds.
-
-    The stored parameters must have the names and shapes that ``build_model``
-    gives the config and lie back to back in the payload, which holds
-    exactly their values; anything else raises ``ConfigError``.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file")
-        try:
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len).decode())
-            config = _config_from_dict(header["config"])
-            index = [(item["name"], tuple(item["shape"]), item["offset"]) for item in header["params"]]
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: unreadable checkpoint header ({exc})")
-        payload = fh.read()
-    expected = build_model(config).params
-    layout = []
-    offset = 0
-    for name, shape, at in index:
-        if not isinstance(name, str) or name not in expected:
-            raise ConfigError(f"{path}: unexpected parameter {name!r} for {config.variant}")
-        want = expected.pop(name).shape
-        if shape != want:
-            raise ConfigError(f"{path}: parameter {name!r} has shape {shape}, expected {want}")
-        if at != offset:
-            raise ConfigError(f"{path}: parameter {name!r} at offset {at!r}, not {offset}")
-        layout.append((name, want, offset))
-        offset += int(np.prod(want))
-    if expected:
-        raise ConfigError(f"{path}: parameter {next(iter(expected))!r} missing")
-    if len(payload) != 8 * offset:
-        raise ConfigError(f"{path}: payload holds {len(payload)} bytes, expected {8 * offset}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    params = {
-        name: ad.tensor(flat[start : start + int(np.prod(shape))].reshape(shape), requires_grad=True)
-        for name, shape, start in layout
-    }
-    return Model(config=config, params=params)
-
-
-_TUPLE_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.type == "tuple")
-
-
-def _config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    for key in _TUPLE_FIELDS:
-        d[key] = list(d[key])
-    return d
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    kwargs = dict(d)
-    for key in _TUPLE_FIELDS:
-        kwargs[key] = tuple(kwargs[key])
-    return ModelConfig(**kwargs)

@@ -51,6 +51,7 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self):
+        models.check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.variant not in models.VARIANTS:
@@ -61,6 +62,11 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -391,7 +397,7 @@ def run_experiment(
         variant=config.variant,
         method=config.method,
         train_config=asdict(config),
-        model_config=models._config_to_dict(model_config),
+        model_config=asdict(model_config),
         corpus_digest=corpus_digest(manifest_path),
         folds=[fold for fold, _ in results],
     )

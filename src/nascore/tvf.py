@@ -37,10 +37,6 @@ class VideoClip:
         if self.frames.dtype != np.uint16:
             raise TvfError(f"frames must be uint16, got {self.frames.dtype}")
 
-    @property
-    def shape(self):
-        return self.frames.shape
-
 
 def write_clip(path, clip: VideoClip):
     t, h, w = clip.frames.shape
@@ -72,15 +68,6 @@ def _read_header(path, fh):
     if not 0 < 2 * h * w <= held:
         raise TvfError(f"{path}: {h}x{w} frames do not fit in its {held} sample bytes")
     return t, h, w, fps, held
-
-
-def read_clip(path) -> VideoClip:
-    with open(path, "rb") as fh:
-        t, h, w, fps, held = _read_header(path, fh)
-        if held // 2 < t * h * w:
-            raise TvfError(f"{path}: expected {t * h * w} samples, found {held // 2}")
-        data = np.fromfile(fh, dtype="<u2", count=t * h * w)
-    return VideoClip(frames=data.reshape(t, h, w).astype(np.uint16), fps=fps)
 
 
 def read_frames(path, indices) -> np.ndarray:

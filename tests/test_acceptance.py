@@ -7,6 +7,7 @@ pipeline fixture drives everything through the real CLI.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import json
 import shutil
 import time
 from pathlib import Path
@@ -247,7 +248,7 @@ class TestCriterion7TrainingSmoke:
         accuracy = float(np.mean([r.accuracy for r in records]))
         elapsed = smoke_pipeline.timings[("mvit", "indirect")]
 
-        report = metrics.parse_report(smoke_pipeline.report_path)
+        report = json.loads(smoke_pipeline.report_path.read_text())
         rows = len(report["indirect"]) + len(report["direct"])
 
         ok = (

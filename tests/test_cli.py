@@ -85,6 +85,21 @@ class TestPrep:
         assert capsys.readouterr().err == "error: retained column a07 has no average score entry\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("video_id", ["../../zz", "v" * (csv.field_size_limit() + 1)])
+    def test_bad_label_row_fails_with_one_line(self, tmp_path, capsys, video_id):
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        labels = directory / datagen.MANIFEST_NAME
+        labels.write_text(
+            ",".join(["video_id", *datagen.ACTIVITY_FIELDS]) + "\n"
+            + ",".join([video_id, "1"] + ["0"] * (datagen.N_ACTIVITIES - 1)) + "\n"
+        )
+        out = tmp_path / "p.csv"
+        assert run_cli("prep", "--corpus", directory, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}:2: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_below_threshold_corpus_fails(self, tmp_path):
         directory = tmp_path / "corpus"
         datagen.write_manifest(datagen.plan_smoke(0), directory)
@@ -281,6 +296,28 @@ class TestTrain:
         assert err == f"error: attention_heads must be a positive integer, got {heads}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, raw, message", [
+        ("learning_rate", "nan", "learning_rate must be a finite number, got nan"),
+        ("learning_rate", "inf", "learning_rate must be a finite number, got inf"),
+        ("beta1", "1", "beta1 must be in [0, 1), got 1.0"),
+        ("beta1", "-0.1", "beta1 must be in [0, 1), got -0.1"),
+        ("beta2", "2", "beta2 must be in [0, 1), got 2.0"),
+        ("eps", "0", "eps must be > 0, got 0.0"),
+        ("eps", "-1", "eps must be > 0, got -1.0"),
+    ])
+    def test_bad_adam_setting_fails_before_training(
+        self, mini_pipeline, tmp_path, capsys, key, raw, message
+    ):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\n{key} = {raw}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_usage_error(self, mini_pipeline, tmp_path, capsys, jobs):
         _, prepared, config = mini_pipeline
@@ -337,7 +374,7 @@ class TestEval:
         run = self.make_run(mini_pipeline, tmp_path, "r1", "mvit", "indirect")
         out = tmp_path / "report.json"
         assert run_cli("eval", "--runs", run, "--out", out) == 0
-        report = metrics.parse_report(out)
+        report = json.loads(out.read_text())
         assert list(report["indirect"]) == ["mini-mvit"]
         assert report["direct"] == {}
         row = report["indirect"]["mini-mvit"]

@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -62,6 +63,69 @@ class TestLoadLabels:
         path = write_rows(tmp_path / "labels.csv", rows)
         with pytest.raises(dataset.ManifestError, match="duplicate"):
             dataset.load_labels(path)
+
+    # Python 3.10's csv module refuses a NUL itself; later versions pass it on
+    @pytest.mark.parametrize("video_id", ["", ".", "..", "../../tmp/zz", "a/b", "a\\b", "a\0b"])
+    def test_video_id_must_be_a_file_name(self, tmp_path, video_id):
+        path = write_rows(tmp_path / "labels.csv", [single_label_row(video_id, 0)])
+        with pytest.raises(dataset.ManifestError, match=re.escape(f"{path}:2: ")):
+            dataset.load_labels(path)
+
+    def test_oversized_field(self, tmp_path):
+        row = single_label_row("v" * (csv.field_size_limit() + 1), 0)
+        path = write_rows(tmp_path / "labels.csv", [row])
+        with pytest.raises(dataset.ManifestError, match=":2: field larger than field limit"):
+            dataset.load_labels(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = write_rows(tmp_path / "labels.csv", [single_label_row("v0", 0)])
+        path.write_bytes(path.read_bytes().replace(b"v0", b"v\xff"))
+        with pytest.raises(dataset.ManifestError, match=re.escape(f"{path}: not UTF-8 text")):
+            dataset.load_labels(path)
+
+
+# one field over the csv module's size limit
+OVERSIZED = "x" * (csv.field_size_limit() + 1)
+
+
+@st.composite
+def label_manifest_bytes(draw):
+    """The header and up to 3 data rows, each well-formed or with one defect:
+    a video id of dots, slashes, backslashes and NULs; a field of text that
+    may hold commas, quotes or newlines; an oversized field; or a field of
+    raw bytes that need not be UTF-8."""
+    lines = [",".join(["video_id", *datagen.ACTIVITY_FIELDS]).encode()]
+    for i in range(draw(st.integers(0, 3))):
+        fields = [f"v{i}".encode()] + [b"0"] * 23
+        fields[1 + draw(st.integers(0, 22))] = b"1"
+        defect = draw(st.sampled_from(["none", "id", "text", "oversized", "bytes"]))
+        at = draw(st.just(0) | st.integers(1, 23))
+        if defect == "id":
+            fields[0] = draw(st.text(alphabet="v./\\\0", max_size=4)).encode()
+        elif defect == "text":
+            fields[at] = draw(st.text(alphabet="v01,\"\n", max_size=6)).encode()
+        elif defect == "oversized":
+            fields[at] = OVERSIZED.encode()
+        elif defect == "bytes":
+            fields[at] = draw(st.binary(max_size=4))
+        lines.append(b",".join(fields))
+    return b"\n".join(lines) + b"\n"
+
+
+class TestLoadLabelsFuzz:
+    @given(label_manifest_bytes())
+    @settings(max_examples=150, deadline=None)
+    def test_any_bytes_parse_or_raise_manifest_error(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "labels.csv"
+            path.write_bytes(data)
+            try:
+                records = dataset.load_labels(path)
+            except dataset.ManifestError:
+                return
+        assert all(isinstance(r, dataset.LabelRecord) for r in records)
+        # every clip path stays inside the corpus directory
+        assert all(r.clip_path.parent == path.parent for r in records)
 
 
 class TestReduceLabels:
@@ -205,7 +269,7 @@ class TestSampleFrames:
         rng = np.random.default_rng(6)
         frames = rng.integers(0, 65536, size=(690, 6, 8)).astype(np.uint16)
         clips = sampled_clip(tmp_path, "c", frames)
-        full = tvf.read_clip(tvf.clip_path(tmp_path, "c")).frames
+        full = tvf.read_frames(tvf.clip_path(tmp_path, "c"), range(690))
         expected = full[list(dataset.sample_indices(690))]
         assert clips["c"].dtype == np.uint16
         np.testing.assert_array_equal(clips["c"], expected)
@@ -261,3 +325,9 @@ class TestPreparedManifest:
             except dataset.ManifestError:
                 return
         assert all(0 <= e.class_index < len(dataset.ACTIVITY_TABLE) for e in entries)
+
+    def test_oversized_field(self, tmp_path):
+        path = tmp_path / "prepared.csv"
+        path.write_text(",".join(dataset.PREPARED_HEADER) + f"\nv0,6,5.60,{OVERSIZED}\n")
+        with pytest.raises(dataset.ManifestError, match=":2: field larger than field limit"):
+            dataset.load_prepared_manifest(path)

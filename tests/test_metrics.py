@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,12 +203,12 @@ class TestReport:
 
     def test_six_rows_and_sections(self, tmp_path):
         path = metrics.emit_report(self.build_results(), tmp_path / "report.json")
-        report = metrics.parse_report(path)
+        report = json.loads(path.read_text())
         assert len(report["indirect"]) == 3 and len(report["direct"]) == 3
 
     def test_direct_rows_omit_classification_metrics(self, tmp_path):
         path = metrics.emit_report(self.build_results(), tmp_path / "report.json")
-        report = metrics.parse_report(path)
+        report = json.loads(path.read_text())
         for row in report["direct"].values():
             assert "accuracy" not in row and "roc_auc" not in row and "f1_macro" not in row
             assert "mse" in row
@@ -216,7 +218,7 @@ class TestReport:
         path = metrics.emit_report(
             results, tmp_path / "report.json", provenance={"corpus_digest": "abc"}
         )
-        report = metrics.parse_report(path)
+        report = json.loads(path.read_text())
         assert report["indirect"]["mini-mvit"]["mse"] == results[("mini-mvit", "indirect")][
             "average"
         ].mse

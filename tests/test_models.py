@@ -1,12 +1,10 @@
 import json
 import struct
-import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nascore import autodiff as ad
 from nascore import dataset, models
@@ -65,6 +63,25 @@ class TestBuildModel:
                     "mini-mvit", "classify-8", (8, 8), embed_dims=(9, 18, 36), attention_heads=2
                 )
             )
+
+    # the type checks run before any value check, so a value of the wrong
+    # type fails with a ConfigError naming its field, not a TypeError
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be non-negative"),
+            ("seed", "x", "seed must be an integer"),
+            ("hidden_size", None, "hidden_size must be an integer"),
+            ("mlp_ratio", "2", "mlp_ratio must be a finite number"),
+            ("frame_hw", (8,), "frame_hw must be two positive integers"),
+            ("embed_dims", (), "embed_dims must be one or more positive widths"),
+            ("head", [], "head must be a string"),
+        ],
+    )
+    def test_malformed_field_is_config_error(self, field, value, message):
+        config = replace(micro_config("micro-cnn-rnn"), **{field: value})
+        with pytest.raises(models.ConfigError, match=message):
+            config.validate()
 
 
 class TestPatchify:
@@ -297,160 +314,32 @@ class TestForward:
         assert not np.allclose(out_moving, out_frozen)
 
 
+def checkpoint_parts(path):
+    """The parsed JSON header and the f8 LE payload of a checkpoint file."""
+    data = Path(path).read_bytes()
+    magic = models.CHECKPOINT_MAGIC
+    assert data.startswith(magic)
+    (size,) = struct.unpack_from("<I", data, len(magic))
+    start = len(magic) + 4
+    return json.loads(data[start : start + size]), data[start + size :]
+
+
+def expected_checkpoint_parts(model):
+    """What checkpoint_parts reads from ``model``'s checkpoint: the header
+    lists each parameter's name, shape and offset in values, and the payload
+    holds the parameters back to back."""
+    index, offset = [], 0
+    for name, p in model.params.items():
+        index.append({"name": name, "shape": list(p.shape), "offset": offset})
+        offset += p.data.size
+    header = json.loads(json.dumps({"config": asdict(model.config), "params": index}))
+    payload = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
+    return header, payload.astype("<f8").tobytes()
+
+
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = models.build_model(micro_config("mini-mvit", seed=11))
-        path = tmp_path / "model.ckpt"
-        models.save_checkpoint(model, path)
-        loaded = models.load_checkpoint(path)
-        assert loaded.config == model.config
-        assert loaded.params.keys() == model.params.keys()
-        for name in model.params:
-            np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
-        rng = np.random.default_rng(5)
-        batch = random_batch(rng, 2)
-        np.testing.assert_array_equal(
-            model.forward(batch).data, loaded.forward(batch).data
-        )
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(models.ConfigError):
-            models.load_checkpoint(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        models.save_checkpoint(models.build_model(micro_config("micro-cnn-rnn")), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-12])
-        with pytest.raises(models.ConfigError, match="payload holds"):
-            models.load_checkpoint(path)
-        path.write_bytes(data[:20])
-        with pytest.raises(models.ConfigError, match="unreadable checkpoint header"):
-            models.load_checkpoint(path)
-
-    def test_rejects_old_temporal_weight_shape(self, tmp_path):
-        # r2plus1d once stored its temporal conv weights as (c, c, 3)
-        model = models.build_model(micro_config("micro-r2plus1d"))
-        old = {}
-        for name, p in model.params.items():
-            shape = p.shape[:-2] + p.shape[-1:] if ".temporal." in name else p.shape
-            old[name] = ad.tensor(p.data.reshape(shape))
-        path = tmp_path / "old.ckpt"
-        models.save_checkpoint(models.Model(config=model.config, params=old), path)
-        with pytest.raises(models.ConfigError) as exc:
-            models.load_checkpoint(path)
-        assert str(exc.value) == (
-            f"{path}: parameter 'b0.temporal.w' has shape (4, 4, 3), expected (4, 4, 1, 3)"
-        )
-
-    def test_rejects_missing_and_unexpected_parameters(self, tmp_path):
-        model = models.build_model(micro_config("micro-cnn-rnn"))
-        path = tmp_path / "model.ckpt"
-        params = dict(model.params)
-        del params["head.b"]
-        models.save_checkpoint(models.Model(config=model.config, params=params), path)
-        with pytest.raises(models.ConfigError, match="'head.b' missing"):
-            models.load_checkpoint(path)
-        params["extra"] = ad.tensor(np.zeros(2))
-        models.save_checkpoint(models.Model(config=model.config, params=params), path)
-        with pytest.raises(models.ConfigError, match="unexpected parameter 'extra'"):
-            models.load_checkpoint(path)
-
-
-def checkpoint_bytes(model):
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "m.ckpt"
-        models.save_checkpoint(model, path)
-        return path.read_bytes()
-
-
-# every value is small, so no drawn config can ask for a large model
-SMALL_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-4, 4) | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-@st.composite
-def checkpoint_files(draw):
-    """A micro cnn-rnn checkpoint truncated or with one byte replaced, one
-    whose header has config fields, config or index entries replaced by
-    small JSON values, or arbitrary bytes after the magic or without it."""
-    data = checkpoint_bytes(models.build_model(micro_config("micro-cnn-rnn")))
-    kind = draw(st.sampled_from(["truncated", "byte", "header", "arbitrary"]))
-    if kind == "truncated":
-        return data[: draw(st.integers(0, len(data)))]
-    if kind == "byte":
-        out = bytearray(data)
-        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
-        return bytes(out)
-    if kind == "arbitrary":
-        prefix = draw(st.sampled_from([b"", models.CHECKPOINT_MAGIC]))
-        return prefix + draw(st.binary(max_size=48))
-    target = draw(st.sampled_from(["config field", "config", "index entry", "index"]))
-    value = draw(SMALL_JSON)
-
-    def edit(header):
-        if target == "config field":
-            header["config"][draw(st.sampled_from(sorted(header["config"])))] = value
-        elif target == "config":
-            header["config"] = value
-        elif target == "index entry":
-            header["params"][draw(st.integers(0, len(header["params"]) - 1))] = value
-        else:
-            header["params"] = value
-
-    return with_header(data, edit)
-
-
-def with_header(data, edit):
-    """Checkpoint bytes ``data`` with ``edit`` applied to the parsed header."""
-    (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
-    edit(header)
-    encoded = json.dumps(header).encode()
-    return data[:8] + struct.pack("<I", len(encoded)) + encoded + data[12 + header_len :]
-
-
-class TestCheckpointFuzz:
-    # values the fuzzer found ending in TypeError, ValueError or KeyError
-    @pytest.mark.parametrize(
-        "section, key, value, message",
-        [
-            ("config", "seed", -1, "seed must be non-negative"),
-            ("config", "seed", "x", "seed must be an integer"),
-            ("config", "hidden_size", None, "hidden_size must be an integer"),
-            ("config", "mlp_ratio", "2", "mlp_ratio must be a finite number"),
-            ("config", "frame_hw", [8], "frame_hw must be two positive integers"),
-            ("config", "embed_dims", [], "embed_dims must be one or more positive widths"),
-            ("config", "head", [], "head must be a string"),
-            ("params", 0, {"name": ["w"], "shape": [1], "offset": 0}, "unexpected parameter"),
-            ("params", 0, {"name": "head.b", "shape": None, "offset": 0}, "unreadable checkpoint"),
-            ("params", 0, {"name": "head.b", "shape": [8]}, "unreadable checkpoint header"),
-            ("params", 0, None, "unreadable checkpoint header"),
-        ],
-    )
-    def test_malformed_header_value_is_config_error(self, tmp_path, section, key, value, message):
-        def edit(header):
-            header[section][key] = value
-
-        data = checkpoint_bytes(models.build_model(micro_config("micro-cnn-rnn")))
-        path = tmp_path / "x.ckpt"
-        path.write_bytes(with_header(data, edit))
-        with pytest.raises(models.ConfigError, match=message):
-            models.load_checkpoint(path)
-
-    @given(checkpoint_files())
-    @settings(max_examples=300, deadline=None)
-    def test_any_bytes_load_or_raise_config_error(self, data):
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "x.ckpt"
-            path.write_bytes(data)
-            try:
-                model = models.load_checkpoint(path)
-            except models.ConfigError:
-                return
-        assert models.build_model(model.config).params.keys() == model.params.keys()
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_writes_magic_header_and_payload(self, tmp_path, variant):
+        model = models.build_model(micro_config(variant, seed=11))
+        path = models.save_checkpoint(model, tmp_path / "model.ckpt")
+        assert checkpoint_parts(path) == expected_checkpoint_parts(model)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from nascore import autodiff as ad
 from nascore import datagen, dataset, models, training
+from test_models import checkpoint_parts, expected_checkpoint_parts
 
 
 def fake_entries(counts):
@@ -228,7 +230,7 @@ class TestRunExperiment:
         entries = dataset.load_prepared_manifest(tiny_corpus)
         assert sorted(p["video_id"] for p in preds) == sorted(e.video_id for e in entries)
         assert all(len(p["logits"]) == 8 for p in preds)
-        assert run.model_config == models._config_to_dict(tiny_model_config("classify-8"))
+        assert run.model_config == asdict(tiny_model_config("classify-8"))
 
     def test_direct_predictions_are_scalars(self, tiny_corpus):
         run = training.run_experiment(
@@ -280,7 +282,15 @@ class TestRunExperiment:
             got = training.default_model_config(tiny_train_config(method=method), entries)
             assert got == models.default_config("mini-mvit", head, (8, 8))
 
-    def test_run_dir_artifacts(self, tiny_corpus, tmp_path):
+    def test_run_dir_artifacts(self, tiny_corpus, tmp_path, monkeypatch):
+        trained = {}
+        real_save = models.save_checkpoint
+
+        def save(model, path):
+            trained[path.name] = model
+            return real_save(model, path)
+
+        monkeypatch.setattr(models, "save_checkpoint", save)
         run_dir = tmp_path / "run"
         run = training.run_experiment(
             tiny_corpus, tiny_train_config(), model_overrides=TINY_OVERRIDES, run_dir=run_dir,
@@ -292,9 +302,12 @@ class TestRunExperiment:
         assert (run_dir / "digest.txt").read_text() == training.corpus_digest(tiny_corpus) + "\n"
         echo = (run_dir / "config.txt").read_text().splitlines()
         assert "embed_dims = 8,16,32" in echo and "epochs = 2" in echo
-        loaded = models.load_checkpoint(run_dir / "fold0.ckpt")
-        assert loaded.config.variant == "mini-mvit"
-        assert loaded.config.embed_dims == (8, 16, 32)
+        for k in (0, 1):
+            model = trained[f".fold{k}.ckpt.tmp"]
+            seed = datagen.stable_seed(0, k, "init")
+            assert model.config == replace(tiny_model_config("classify-8"), seed=seed)
+            parts = checkpoint_parts(run_dir / f"fold{k}.ckpt")
+            assert parts == expected_checkpoint_parts(model)
 
     def test_failed_write_leaves_no_run_file(self, tiny_corpus, tmp_path, monkeypatch):
         saved = []
