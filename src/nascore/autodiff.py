@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class AutodiffError(Exception):
@@ -149,7 +148,9 @@ def _broadcastable(a, b):
 #
 # forward(arrays, attrs) -> output array, or (output array, residual)
 # vjp(grad, arrays, out, attrs) -> tuple of per-input gradients; ``out`` is
-# what forward returned
+# what forward returned, and ``attrs["needs"]`` holds one bool per input,
+# whether backward wants its gradient. A vjp may return None for an input
+# that needs none (after PyTorch's ``ctx.needs_input_grad``).
 # ---------------------------------------------------------------------------
 
 _OPS = {}
@@ -471,55 +472,73 @@ def _conv_out(n, k, s, p):
     return (n + 2 * p - k) // s + 1
 
 
-def _conv_windows(x, kh, kw, stride, padding):
-    """(B, C, OH, OW, kh, kw) strided view of the zero-padded x's windows."""
-    ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, :: stride[0], :: stride[1]]
+def _conv_cols(x, kh, kw, stride, padding, oh, ow):
+    """The (C*kh*kw, B*OH*OW) window matrix of x (C, B, H, W): row (c, u, v)
+    holds what tap (u, v) of channel c reads at every output position."""
+    (sh, sw), (ph, pw) = stride, padding
+    c, b, h, w = x.shape
+    xp = x
+    if ph or pw:
+        xp = np.zeros((c, b, h + 2 * ph, w + 2 * pw))
+        xp[:, :, ph : ph + h, pw : pw + w] = x
+    cols = np.empty((c, kh, kw, b, oh, ow))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw]
+    return cols.reshape(c * kh * kw, b * oh * ow)
+
+
+def _conv_input_grad(w, g, x_shape, stride, padding):
+    """Gradient of conv2d's input x (C, B, H, W) for the output gradient g
+    (O, B, OH, OW): each tap's (C, B, OH, OW) slice of w.T @ g adds onto
+    the strided input positions it read."""
+    o, c, kh, kw = w.shape
+    _, b, oh, ow = g.shape
+    (sh, sw), (ph, pw) = stride, padding
+    h, wd = x_shape[2], x_shape[3]
+    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, kh, kw, b, oh, ow)
+    gxp = np.zeros((c, b, h + 2 * ph, wd + 2 * pw))
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += taps[:, u, v]
+    return gxp[:, :, ph : ph + h, pw : pw + wd]
 
 
 @_register("conv2d")
 class _Conv2d:
-    """Cross-correlation of x (B, C, H, W) with w (O, C, kh, kw), unfolded:
-    each pass is one contraction over the (C, kh, kw) windows of x."""
+    """Cross-correlation of x (C, B, H, W) with w (O, C, kh, kw), giving
+    (O, B, OH, OW). The layout is channel-major, so each pass is one matmul
+    with the unfolded window matrix (im2col) and no transpose: the forward
+    is w (O, C*kh*kw) @ cols, the weight gradient g (O, B*OH*OW) @ cols.T.
+    The vjp builds cols afresh and drops it before the input gradient,
+    which it skips when ``attrs["needs"]`` says x needs none."""
 
     @staticmethod
     def forward(xs, attrs):
         x, w = xs
         if x.ndim != 4 or w.ndim != 4:
-            raise ShapeMismatch("conv2d", "(B,C,H,W) and (O,C,kh,kw)", f"{x.shape}, {w.shape}")
-        if x.shape[1] != w.shape[1]:
-            raise ShapeMismatch("conv2d", f"{w.shape[1]} input channels", f"{x.shape[1]}")
+            raise ShapeMismatch("conv2d", "(C,B,H,W) and (O,C,kh,kw)", f"{x.shape}, {w.shape}")
+        if x.shape[0] != w.shape[1]:
+            raise ShapeMismatch("conv2d", f"{w.shape[1]} input channels", f"{x.shape[0]}")
         sh, sw = attrs["stride"]
         ph, pw = attrs["padding"]
-        kh, kw = w.shape[2], w.shape[3]
+        o, _, kh, kw = w.shape
         oh, ow = _conv_out(x.shape[2], kh, sh, ph), _conv_out(x.shape[3], kw, sw, pw)
         if oh <= 0 or ow <= 0:
             raise ShapeMismatch("conv2d", "positive output extent", f"{oh}x{ow}")
-        win = _conv_windows(x, kh, kw, attrs["stride"], attrs["padding"])
-        # (O, B, OH, OW) -> (B, O, OH, OW)
-        return np.tensordot(w, win, axes=((1, 2, 3), (1, 4, 5))).transpose(1, 0, 2, 3)
+        cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], oh, ow)
+        return (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], oh, ow)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
         x, w = xs
-        sh, sw = attrs["stride"]
-        ph, pw = attrs["padding"]
-        _, _, oh, ow = g.shape
-        kh, kw = w.shape[2], w.shape[3]
-        win = _conv_windows(x, kh, kw, attrs["stride"], attrs["padding"])
-        # (C, kh, kw, O) -> (O, C, kh, kw)
-        gw = np.tensordot(win, g, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
-        # (C, kh, kw, B, OH, OW): each tap's slice adds onto the strided
-        # input positions it read
-        taps = np.tensordot(w, g, axes=((0,), (1,)))
-        b, c, h, wd = x.shape
-        gxp = np.zeros((b, c, h + 2 * ph, wd + 2 * pw))
-        for u in range(kh):
-            for v in range(kw):
-                tap = taps[:, u, v].transpose(1, 0, 2, 3)
-                gxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += tap
-        return gxp[:, :, ph : ph + h, pw : pw + wd], gw
+        o, _, kh, kw = w.shape
+        cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], g.shape[2], g.shape[3])
+        gw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+        del cols
+        if not attrs["needs"][0]:
+            return None, gw
+        return _conv_input_grad(w, g, x.shape, attrs["stride"], attrs["padding"]), gw
 
 
 def _pool_counts(dims, stride):
@@ -725,7 +744,9 @@ def backward(loss):
             leaf_grads[t.node_id] = Tensor(g, _checked=True)
             continue
         out = t.data if op.residual is None else (t.data, op.residual)
-        input_grads = _OPS[op.kind].vjp(g, tuple(i.data for i in op.inputs), out, op.attrs)
+        needs = tuple(i.requires_grad for i in op.inputs)
+        arrays = tuple(i.data for i in op.inputs)
+        input_grads = _OPS[op.kind].vjp(g, arrays, out, {**op.attrs, "needs": needs})
         for inp, ig in zip(op.inputs, input_grads):
             if not inp.requires_grad:
                 continue
@@ -827,7 +848,7 @@ GRADCHECK_SUITE = (
     ("layer_norm", ((4,),), None),
     ("layer_norm", ((2, 5),), None),
     ("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3)), {"stride": (2, 2), "padding": (1, 1)}),
-    # a temporal conv over (1, T), as micro-r2plus1d runs it
+    # a 1x3 kernel over a (1, T) grid
     ("conv2d", ((2, 2, 1, 7), (3, 2, 1, 3)), {"stride": (1, 2), "padding": (0, 1)}),
     ("avg_pool", ((2, 5, 3),), {"stride": (2,)}),
     ("avg_pool", ((2, 5, 4, 3),), {"stride": (2, 2)}),
@@ -840,6 +861,8 @@ GRADCHECK_SUITE = (
     ("cross_entropy_logits", ((3, 5),), {"targets": (0, 4, 2)}),
     # a positional table added to every batch item, as patchify does
     ("add", ((2, 3, 4, 5), (3, 4, 5)), None),
+    # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W), odd T
+    ("conv2d", ((2, 2, 7, 3), (3, 2, 3, 1)), {"stride": (2, 1), "padding": (1, 0)}),
 )
 
 

@@ -79,11 +79,20 @@ _PARSERS = {
 }
 
 
+def read_utf8(path):
+    """The text of the UTF-8 file at ``path``; other bytes raise a CliError
+    naming the file, as the manifest readers do."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_config_file(path):
     """key = value lines; # starts a comment."""
     train_overrides = {}
     model_overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,7 +135,7 @@ def cmd_eval(args):
         pred_path = Path(run_dir) / "predictions.json"
         if not pred_path.exists():
             raise CliError(f"{run_dir}: no predictions.json (not a run directory?)")
-        run = training.ExperimentRun.from_json(pred_path.read_text(), source=pred_path)
+        run = training.ExperimentRun.from_json(read_utf8(pred_path), source=pred_path)
         key = (run.variant, run.method)
         if key in results:
             raise CliError(f"duplicate run for {run.variant}/{run.method}")

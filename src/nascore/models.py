@@ -8,10 +8,13 @@ per axis in each stage before it, so every block attends to the same K/V
 grid. Each block pools its normalized input before the Q/K/V linears run,
 which averaging makes the same function as projecting, then pooling.
 micro-r2plus1d: factorized blocks of 2D spatial convolution then
-temporal convolution, the latter a 1x3 conv2d over each pixel's (1, T)
-grid. micro-cnn-rnn: a shared 2D conv encoder per frame feeding a gated
-recurrent cell. Every convolution in these models is a conv2d plus bias,
-then ReLU.
+temporal convolution, the latter a 3x1 conv2d over (T, H*W), so every
+pixel's frames at once. micro-cnn-rnn: a shared 2D conv encoder per frame
+feeding a gated recurrent cell. Every convolution in these models is a
+conv2d plus bias, then ReLU. The conv models keep their activations
+channel-major, (C, B*T, H, W), as conv2d takes and gives them, so no
+block permutes its activations; only the head (r2plus1d) or the recurrent
+cell's input (cnn-rnn) turns (C, B) features into (B, C).
 
 All variants end in the same head, ReLU then dense. mini-mvit and
 micro-r2plus1d feed it the mean over their token or space-time axes;
@@ -171,8 +174,9 @@ class _Init:
         self.params[f"{name}.w"] = ad.tensor(
             self.rng.uniform(-bound, bound, size=shape), requires_grad=True
         )
-        bias_shape = (shape[0],) + (1,) * (len(shape) - 2)
-        self.params[f"{name}.b"] = ad.tensor(np.zeros(bias_shape), requires_grad=True)
+        # conv2d is channel-major, (O, B, OH, OW), so the bias broadcasts
+        # from (O, 1, 1, 1)
+        self.params[f"{name}.b"] = ad.tensor(np.zeros((shape[0], 1, 1, 1)), requires_grad=True)
 
     def norm(self, name, dim):
         self.params[f"{name}.g"] = ad.tensor(np.ones(dim), requires_grad=True)
@@ -272,7 +276,7 @@ def _init_r2plus1d(init, config):
     c_in = 1
     for i, c in enumerate(config.embed_dims):
         init.conv(f"b{i}.spatial", (c, c_in, 3, 3))
-        init.conv(f"b{i}.temporal", (c, c, 1, 3))
+        init.conv(f"b{i}.temporal", (c, c, 3, 1))
         c_in = c
     init.linear("head", c_in, config.head_width)
 
@@ -404,37 +408,35 @@ def _forward_mvit(params, x, config, capture):
 
 
 def _forward_r2plus1d(params, x, config, capture):
+    # activations stay channel-major: (C, B*T, H, W) for the spatial convs
+    # and, by a free reshape, (C, B, T, H*W) for the temporal ones
     b, t, h, w = x.shape
-    cur = ad.reshape(x, (b * t, 1, h, w))
-    c_in = 1
-    temporal_strides = [1 if i == 0 else 2 for i in range(len(config.embed_dims))]
+    cur, c_in = x, 1
     for i, c in enumerate(config.embed_dims):
+        cur = ad.reshape(cur, (c_in, b * t, h, w))
         cur = _conv_relu(params, f"b{i}.spatial", cur, stride=(2, 2), padding=(1, 1))
         h, w = cur.shape[2], cur.shape[3]
-        cur = ad.reshape(cur, (b, t, c, h, w))
-        # the temporal conv runs over a (1, T) grid with a 1x3 kernel
-        cur = ad.reshape(ad.permute(cur, (0, 3, 4, 2, 1)), (b * h * w, c, 1, t))
-        cur = _conv_relu(
-            params, f"b{i}.temporal", cur, stride=(1, temporal_strides[i]), padding=(0, 1)
-        )
-        t = cur.shape[3]
-        cur = ad.permute(ad.reshape(cur, (b, h, w, c, t)), (0, 4, 3, 1, 2))
+        # a 3x1 kernel over (T, H*W): every pixel's frames in one conv
+        cur = ad.reshape(cur, (c, b, t, h * w))
+        s = 1 if i == 0 else 2
+        cur = _conv_relu(params, f"b{i}.temporal", cur, stride=(s, 1), padding=(1, 0))
+        t = cur.shape[2]
         if capture is not None:
             capture.append(((t, h, w), c))
-        cur = ad.reshape(cur, (b * t, c, h, w))
         c_in = c
-    cur = ad.reshape(cur, (b, t, c_in, h, w))
-    pooled = ad.mean(cur, axes=(1, 3, 4))
+    pooled = ad.permute(ad.mean(cur, axes=(2, 3)), (1, 0))
     return _dense(params, "head", ad.relu(pooled))
 
 
 def _forward_cnn_rnn(params, x, config, capture):
     b, t, h, w = x.shape
-    cur = ad.reshape(x, (b * t, 1, h, w))
+    # every frame through the encoder at once, channel-major (C, B*T, H, W)
+    cur = ad.reshape(x, (1, b * t, h, w))
     for i in range(len(config.embed_dims)):
         cur = _conv_relu(params, f"enc{i}", cur, stride=(2, 2), padding=(1, 1))
-    feat_dim = cur.shape[1]
-    feats = ad.reshape(ad.mean(cur, axes=(2, 3)), (b, t, feat_dim))
+    feat_dim = cur.shape[0]
+    feats = ad.permute(ad.mean(cur, axes=(2, 3)), (1, 0))
+    feats = ad.reshape(feats, (b, t, feat_dim))
     hid = config.hidden_size
     h_state = ad.zeros((b, hid))
     one = ad.ones((b, hid))

@@ -73,7 +73,8 @@ def assert_attention_matches_reference(q, k, v, g, heads):
 
 def conv2d_reference(x, w, g, stride, padding):
     """Output of conv2d and the gradients of sum(out * g), as a plain loop
-    over output positions and kernel taps."""
+    over output positions and kernel taps, batch-first: x (B, C, H, W)
+    and out, g (B, O, OH, OW)."""
     (sh, sw), (ph, pw) = stride, padding
     b, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -90,6 +91,26 @@ def conv2d_reference(x, w, g, stride, padding):
                     gw[:, :, u, v] += g[:, :, i, j].T @ pixel
                     gxp[:, :, i * sh + u, j * sw + v] += g[:, :, i, j] @ w[:, :, u, v]
     return out, gxp[:, :, ph : ph + h, pw : pw + wd], gw
+
+
+def assert_conv2d_matches_loop_reference(x_shape, w_shape, stride, padding):
+    """conv2d and its vjp against the batch-first loop reference, with x
+    (B, C, H, W) and g transposed into and out of the channel-major op."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    tx = ad.tensor(x.transpose(1, 0, 2, 3), requires_grad=True)
+    tw = ad.tensor(w, requires_grad=True)
+    out = ad.conv2d(tx, tw, stride, padding)
+    g = rng.standard_normal(out.shape)
+    gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+    got = (
+        out.data.transpose(1, 0, 2, 3),
+        gmap[tx.node_id].data.transpose(1, 0, 2, 3),
+        gmap[tw.node_id].data,
+    )
+    for a, ref in zip(got, conv2d_reference(x, w, g.transpose(1, 0, 2, 3), stride, padding)):
+        np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardValues:
@@ -121,11 +142,14 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_height_one_conv2d_is_1d_correlation(self, stride):
-        # the temporal conv of micro-r2plus1d: a 1xk kernel over a (1, T) grid
+        # a 1xk kernel over a (1, T) grid; conv2d is channel-major, so x goes
+        # in as (C, B, 1, T) and the output comes back as (O, B, 1, T')
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 3, 1, 7))
         w = rng.standard_normal((4, 3, 1, 3))
-        out = ad.conv2d(ad.tensor(x), ad.tensor(w), stride=(1, stride), padding=(0, 1)).data
+        tx = ad.tensor(x.transpose(1, 0, 2, 3))
+        out = ad.conv2d(tx, ad.tensor(w), stride=(1, stride), padding=(0, 1)).data
+        out = out.transpose(1, 0, 2, 3)
         xp = np.pad(x[:, :, 0], ((0, 0), (0, 0), (1, 1)))
         n_out = (7 + 2 - 3) // stride + 1
         expected = np.zeros((2, 4, n_out))
@@ -188,16 +212,13 @@ class TestForwardValues:
     @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (0, 1)], ids=str)
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)], ids=str)
     def test_conv2d_matches_loop_reference(self, stride, padding, kernel):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 5, 7))
-        w = rng.standard_normal((4, 3, *kernel))
-        tx, tw = ad.tensor(x, requires_grad=True), ad.tensor(w, requires_grad=True)
-        out = ad.conv2d(tx, tw, stride, padding)
-        g = rng.standard_normal(out.shape)
-        gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
-        got = (out.data, gmap[tx.node_id].data, gmap[tw.node_id].data)
-        for a, ref in zip(got, conv2d_reference(x, w, g, stride, padding)):
-            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
+        assert_conv2d_matches_loop_reference((2, 3, 5, 7), (4, 3, *kernel), stride, padding)
+
+    @pytest.mark.parametrize("frames", [7, 8])
+    def test_temporal_conv2d_matches_loop_reference(self, frames):
+        # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W) at
+        # stride (2, 1), padding (1, 0); an odd T leaves a ragged last window
+        assert_conv2d_matches_loop_reference((2, 3, frames, 6), (4, 3, 3, 1), (2, 1), (1, 0))
 
 
 class TestErrors:
@@ -310,6 +331,34 @@ class TestBackward:
         gmap = ad.backward(loss)
         assert x.node_id not in gmap
         np.testing.assert_array_equal(gmap[y.node_id].data, [1.0, 2.0])
+
+    def test_conv2d_builds_no_input_gradient_x_does_not_need(self, monkeypatch):
+        # the clip at a model's first conv needs no gradient: backward says
+        # so through the vjp's attrs["needs"], and the taps are never scattered
+        needs, scatters = [], []
+        vjp, scatter = ad._Conv2d.vjp, ad._conv_input_grad
+
+        def spy_vjp(g, xs, out, attrs):
+            needs.append(attrs["needs"])
+            return vjp(g, xs, out, attrs)
+
+        def spy_scatter(*args):
+            scatters.append(args)
+            return scatter(*args)
+
+        monkeypatch.setattr(ad._Conv2d, "vjp", staticmethod(spy_vjp))
+        monkeypatch.setattr(ad, "_conv_input_grad", spy_scatter)
+        rng = np.random.default_rng(13)
+        x = ad.tensor(rng.standard_normal((2, 3, 5, 5)))
+        w = ad.tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        gmap = ad.backward(ad.sum_(ad.conv2d(x, w, (2, 2), (1, 1))))
+        assert needs == [(False, True)] and scatters == []
+        assert set(gmap) == {w.node_id}
+        # grad_check asks for both inputs, so it still checks the scatter
+        attrs = {"stride": (2, 2), "padding": (1, 1)}
+        report = ad.grad_check("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3)), seed=0, attrs=attrs)
+        assert needs[1:] == [(True, True)] and len(scatters) == 1
+        assert report.max_rel_err < 1e-4
 
     def test_backward_frees_the_tape_as_it_walks(self):
         # a 20-op chain of 1.6 MB activations: keeping every intermediate

@@ -329,6 +329,16 @@ class TestTrain:
         assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_config_is_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_bytes(b"epochs = 1\xff\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", tmp_path / "prepared.csv", "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
     def test_config_values_parse_by_field_type(self, tmp_path):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 4\nlearning_rate = 0.5\nhead = regress-1\nembed_dims = 4,8\n")
@@ -423,6 +433,16 @@ class TestEval:
         out = tmp_path / "report.json"
         assert run_cli("eval", "--runs", run, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {run / 'predictions.json'}: {message}\n"
+        assert not out.exists()
+
+    def test_non_utf8_run_file_is_one_line_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "predictions.json").write_bytes(b'{"a": "\xff"}')
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--runs", run, "--out", out) == 1
+        expected = f"error: {run / 'predictions.json'}: not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_duplicate_model_method_refused(self, mini_pipeline, tmp_path):

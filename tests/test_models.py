@@ -296,6 +296,23 @@ class TestForward:
         models.build_model(cfg).forward(random_batch(np.random.default_rng(6), 1, frame_hw))
         assert seen == [keys, keys, keys]
 
+    @pytest.mark.parametrize("variant,convs", [("micro-r2plus1d", 6), ("micro-cnn-rnn", 2)])
+    def test_conv_models_permute_only_their_features(self, monkeypatch, variant, convs):
+        # conv2d is channel-major, so activations pass between convs by free
+        # reshapes; the one permute turns the (C, B) features into (B, C)
+        kinds = []
+        apply = ad.apply
+
+        def spy(kind, inputs, attrs=None):
+            kinds.append(kind)
+            return apply(kind, inputs, attrs)
+
+        monkeypatch.setattr(ad, "apply", spy)
+        model = models.build_model(models.default_config(variant, "classify-8", (24, 32)))
+        model.forward(random_batch(np.random.default_rng(7), 2, (24, 32)))
+        assert kinds.count("permute") == 1
+        assert kinds.count("conv2d") == convs
+
     def test_multiscale_schedule_monotone(self):
         cfg = models.default_config("mini-mvit", "classify-8", (32, 24))
         schedule = models.stage_schedule(cfg)
