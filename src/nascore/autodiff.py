@@ -106,10 +106,6 @@ def zeros(shape):
     return Tensor(np.zeros(shape), _checked=True)
 
 
-def ones(shape):
-    return Tensor(np.ones(shape), _checked=True)
-
-
 def all_finite(arr):
     """True when no value of ``arr`` is NaN or +-inf."""
     # a single-pass reduction is cheaper than isfinite().all(); NaN and
@@ -149,8 +145,9 @@ def _broadcastable(a, b):
 # forward(arrays, attrs) -> output array, or (output array, residual)
 # vjp(grad, arrays, out, attrs) -> tuple of per-input gradients; ``out`` is
 # what forward returned, and ``attrs["needs"]`` holds one bool per input,
-# whether backward wants its gradient. A vjp may return None for an input
-# that needs none (after PyTorch's ``ctx.needs_input_grad``).
+# whether backward wants its gradient. A vjp returns None for, and computes
+# nothing of, each input that needs none (after PyTorch's
+# ``ctx.needs_input_grad``).
 # ---------------------------------------------------------------------------
 
 _OPS = {}
@@ -181,22 +178,8 @@ class _Add:
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        a, b = xs
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-
-@_register("subtract")
-class _Subtract:
-    @staticmethod
-    def forward(xs, attrs):
-        a, b = xs
-        _ew_check("subtract", a, b)
-        return a - b
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        a, b = xs
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        (a, b), (na, nb) = xs, attrs["needs"]
+        return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(g, b.shape) if nb else None)
 
 
 @_register("multiply")
@@ -209,29 +192,46 @@ class _Multiply:
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        a, b = xs
-        return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+        (a, b), (na, nb) = xs, attrs["needs"]
+        return (
+            _unbroadcast(g * b, a.shape) if na else None,
+            _unbroadcast(g * a, b.shape) if nb else None,
+        )
 
 
-@_register("matmul")
-class _Matmul:
+def _rows(a):
+    """``a`` as a (rows, last axis) matrix; a free view when ``a`` is contiguous."""
+    return a.reshape(-1, a.shape[-1])
+
+
+@_register("linear")
+class _Linear:
+    """A dense layer, x @ w + b, for x (..., C), w (C, O) and b (O,).
+
+    The vjp flattens x's leading axes into rows, so the weight gradient is
+    one GEMM, and it skips the input gradient when x needs none (a clip's
+    patch rows)."""
+
     @staticmethod
     def forward(xs, attrs):
-        a, b = xs
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeMismatch("matmul", "rank >= 2 operands", f"{a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeMismatch("matmul", f"inner dim {a.shape[-1]}", f"{b.shape[-2]}")
-        if _broadcastable(a.shape[:-2], b.shape[:-2]) is None:
-            raise ShapeMismatch("matmul", "broadcastable batch dims", f"{a.shape} @ {b.shape}")
-        return a @ b
+        x, w, b = xs
+        if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+            raise ShapeMismatch("linear", "(..., C) input and (C, O) weight", f"{x.shape}, {w.shape}")
+        if b.shape != w.shape[1:]:
+            raise ShapeMismatch("linear", f"bias of shape {w.shape[1:]}", f"{b.shape}")
+        out = x @ w
+        out += b
+        return out
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        a, b = xs
-        ga = g @ np.swapaxes(b, -1, -2)
-        gb = np.swapaxes(a, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        (x, w, _), (nx, nw, nb) = xs, attrs["needs"]
+        rows = _rows(g)
+        return (
+            (rows @ w.T).reshape(x.shape) if nx else None,
+            _rows(x).T @ rows if nw else None,
+            rows.sum(axis=0) if nb else None,
+        )
 
 
 @_register("reshape")
@@ -282,27 +282,8 @@ class _Concat:
     def vjp(g, xs, out, attrs):
         axis = attrs["axis"]
         splits = np.cumsum([x.shape[axis] for x in xs[:-1]])
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-
-@_register("slice")
-class _Slice:
-    @staticmethod
-    def forward(xs, attrs):
-        (a,) = xs
-        starts, stops = attrs["starts"], attrs["stops"]
-        if len(starts) != a.ndim or len(stops) != a.ndim:
-            raise ShapeMismatch("slice", f"{a.ndim} start/stop pairs", f"{len(starts)}/{len(stops)}")
-        for i, (s, e) in enumerate(zip(starts, stops)):
-            if not (0 <= s < e <= a.shape[i]):
-                raise ShapeMismatch("slice", f"0 <= start < stop <= {a.shape[i]} on axis {i}", f"[{s}:{e}]")
-        return a[tuple(slice(s, e) for s, e in zip(starts, stops))]
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        gx = np.zeros(xs[0].shape)
-        gx[tuple(slice(s, e) for s, e in zip(attrs["starts"], attrs["stops"]))] = g
-        return (gx,)
+        parts = np.split(g, splits, axis=axis)
+        return tuple(np.ascontiguousarray(p) if n else None for p, n in zip(parts, attrs["needs"]))
 
 
 @_register("relu")
@@ -317,57 +298,49 @@ class _Relu:
         return (g * (xs[0] > 0.0),)
 
 
-@_register("sigmoid")
-class _Sigmoid:
-    @staticmethod
-    def forward(xs, attrs):
-        x = xs[0]
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        return (g * out * (1.0 - out),)
-
-
-@_register("tanh")
-class _Tanh:
-    @staticmethod
-    def forward(xs, attrs):
-        return np.tanh(xs[0])
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        return (g * (1.0 - out * out),)
-
-
 @_register("layer_norm")
 class _LayerNorm:
-    """Normalizes the last axis to zero mean, unit variance (no affine).
+    """Normalizes x's last axis (width C) to zero mean and unit variance,
+    then scales by g and shifts by b, both (C,).
 
-    The residual is the per-row 1/sqrt(var + eps); the vjp reads the
-    normalized input from the op's own output.
+    The residual is the normalized input xhat and the per-row
+    1/sqrt(var + eps).
     """
 
     @staticmethod
     def forward(xs, attrs):
-        x = xs[0]
+        x, gain, shift = xs
+        if x.ndim < 1 or gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+            raise ShapeMismatch(
+                "layer_norm", "(..., C) input with (C,) gain and shift",
+                f"{x.shape}, {gain.shape}, {shift.shape}",
+            )
         eps = attrs.get("epsilon", 1e-5)
         xc = x - x.mean(axis=-1, keepdims=True)
         sd = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
         xc /= sd
-        return xc, 1.0 / sd
+        out = xc * gain
+        out += shift
+        return out, (xc, 1.0 / sd)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        xhat, inv = out
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gxm),)
+        (_, gain, _), (_, (xhat, inv)) = xs, out
+        nx, ngain, nshift = attrs["needs"]
+        gx = None
+        if nx:
+            gh = g * gain
+            gm = gh.mean(axis=-1, keepdims=True)
+            gxm = (gh * xhat).mean(axis=-1, keepdims=True)
+            gh -= gm
+            gh -= xhat * gxm
+            gx = gh * inv
+        rows = _rows(g)
+        return (
+            gx,
+            (rows * _rows(xhat)).sum(axis=0) if ngain else None,
+            rows.sum(axis=0) if nshift else None,
+        )
 
 
 def _split_heads(x, heads):
@@ -446,26 +419,34 @@ class _PooledAttention:
         ctx, (qh, kt, vh, lse) = out
         b, h, nq, d = qh.shape
         scale = 1.0 / math.sqrt(d)
+        nq_, nk_, nv_ = attrs["needs"]
         gc = _split_heads(g, h)
         # softmax-vjp row term per (batch, head, query): rowsum(g * ctx)
         rowdot = (g * ctx).reshape(b, nq, h, d).sum(axis=-1).transpose(0, 2, 1)[..., None]
-        gq = np.empty(qh.shape)
-        gkt = np.zeros(kt.shape)
-        gv = np.zeros(vh.shape)
+        gq = np.empty(qh.shape) if nq_ else None
+        gkt = np.zeros(kt.shape) if nk_ else None
+        gv = np.zeros(vh.shape) if nv_ else None
         for rows in _query_tiles(b, h, nq, kt.shape[-1]):
             w = qh[:, :, rows] @ kt
             w *= scale
             w -= lse[:, :, rows]
             np.exp(w, out=w)
-            gv += np.swapaxes(w, -1, -2) @ gc[:, :, rows]
+            if nv_:
+                gv += np.swapaxes(w, -1, -2) @ gc[:, :, rows]
             gw = gc[:, :, rows] @ np.swapaxes(vh, -1, -2)
             # softmax vjp, then the 1/sqrt(d) scale, in place
             gw -= rowdot[:, :, rows]
             gw *= w
             gw *= scale
-            gq[:, :, rows] = gw @ np.swapaxes(kt, -1, -2)
-            gkt += np.swapaxes(qh[:, :, rows], -1, -2) @ gw
-        return _merge_heads(gq), _merge_heads(np.swapaxes(gkt, -1, -2)), _merge_heads(gv)
+            if nq_:
+                gq[:, :, rows] = gw @ np.swapaxes(kt, -1, -2)
+            if nk_:
+                gkt += np.swapaxes(qh[:, :, rows], -1, -2) @ gw
+        return (
+            _merge_heads(gq) if nq_ else None,
+            _merge_heads(np.swapaxes(gkt, -1, -2)) if nk_ else None,
+            _merge_heads(gv) if nv_ else None,
+        )
 
 
 def _conv_out(n, k, s, p):
@@ -506,39 +487,121 @@ def _conv_input_grad(w, g, x_shape, stride, padding):
 
 @_register("conv2d")
 class _Conv2d:
-    """Cross-correlation of x (C, B, H, W) with w (O, C, kh, kw), giving
+    """A conv layer, relu(conv + b): the cross-correlation of x (C, B, H, W)
+    with w (O, C, kh, kw), plus the bias b (O, 1, 1, 1), then ReLU, giving
     (O, B, OH, OW). The layout is channel-major, so each pass is one matmul
     with the unfolded window matrix (im2col) and no transpose: the forward
     is w (O, C*kh*kw) @ cols, the weight gradient g (O, B*OH*OW) @ cols.T.
-    The vjp builds cols afresh and drops it before the input gradient,
-    which it skips when ``attrs["needs"]`` says x needs none."""
+    The forward returns only its output: the vjp masks g by out > 0 (the
+    ReLU's derivative, 0 at the kink), builds cols afresh and drops it
+    before the input gradient, which it skips when x needs none."""
 
     @staticmethod
     def forward(xs, attrs):
-        x, w = xs
+        x, w, b = xs
         if x.ndim != 4 or w.ndim != 4:
             raise ShapeMismatch("conv2d", "(C,B,H,W) and (O,C,kh,kw)", f"{x.shape}, {w.shape}")
         if x.shape[0] != w.shape[1]:
             raise ShapeMismatch("conv2d", f"{w.shape[1]} input channels", f"{x.shape[0]}")
+        o, _, kh, kw = w.shape
+        if b.shape != (o, 1, 1, 1):
+            raise ShapeMismatch("conv2d", f"bias of shape {(o, 1, 1, 1)}", f"{b.shape}")
         sh, sw = attrs["stride"]
         ph, pw = attrs["padding"]
-        o, _, kh, kw = w.shape
         oh, ow = _conv_out(x.shape[2], kh, sh, ph), _conv_out(x.shape[3], kw, sw, pw)
         if oh <= 0 or ow <= 0:
             raise ShapeMismatch("conv2d", "positive output extent", f"{oh}x{ow}")
         cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], oh, ow)
-        return (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], oh, ow)
+        out = (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], oh, ow)
+        out += b
+        return np.maximum(out, 0.0, out=out)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        x, w = xs
+        (x, w, _), (nx, nw, nb) = xs, attrs["needs"]
         o, _, kh, kw = w.shape
-        cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], g.shape[2], g.shape[3])
-        gw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
-        del cols
-        if not attrs["needs"][0]:
-            return None, gw
-        return _conv_input_grad(w, g, x.shape, attrs["stride"], attrs["padding"]), gw
+        g = g * (out > 0.0)
+        gw = None
+        if nw:
+            cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], g.shape[2], g.shape[3])
+            gw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+            del cols
+        return (
+            _conv_input_grad(w, g, x.shape, attrs["stride"], attrs["padding"]) if nx else None,
+            gw,
+            g.sum(axis=(1, 2, 3), keepdims=True) if nb else None,
+        )
+
+
+def _sigmoid(x):
+    """1 / (1 + e^-x), with exp taken only of non-positive values."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@_register("gru")
+class _Gru:
+    """The final hidden state of a gated recurrent unit run from h = 0 over
+    T steps. xz, xr, xn (B, T, H) are the input projections of every step,
+    biases included; whz, whr, whn (H, H) are the recurrent weights. Step t:
+
+        z = sigmoid(xz_t + h whz), r = sigmoid(xr_t + h whr),
+        n = tanh(xn_t + (r h) whn), h <- (1 - z) n + z h.
+
+    The residual holds each step's input state h and its z, r, n and r h.
+    The vjp runs backpropagation through time, then takes each recurrent
+    weight gradient as one GEMM over all steps (Appleyard et al., arXiv
+    1604.01946)."""
+
+    @staticmethod
+    def forward(xs, attrs):
+        xz, xr, xn, whz, whr, whn = xs
+        if xz.ndim != 3 or xr.shape != xz.shape or xn.shape != xz.shape:
+            raise ShapeMismatch(
+                "gru", "three (B, T, H) input projections", f"{xz.shape}, {xr.shape}, {xn.shape}"
+            )
+        b, t, hid = xz.shape
+        if any(wh.shape != (hid, hid) for wh in (whz, whr, whn)):
+            raise ShapeMismatch(
+                "gru", f"({hid}, {hid}) recurrent weights", f"{whz.shape}, {whr.shape}, {whn.shape}"
+            )
+        hs = np.zeros((t + 1, b, hid))
+        z, r, n, rh = np.empty((4, t, b, hid))
+        for s in range(t):
+            h = hs[s]
+            z[s] = _sigmoid(xz[:, s] + h @ whz)
+            r[s] = _sigmoid(xr[:, s] + h @ whr)
+            rh[s] = r[s] * h
+            n[s] = np.tanh(xn[:, s] + rh[s] @ whn)
+            hs[s + 1] = (1.0 - z[s]) * n[s] + z[s] * h
+        return hs[t], (hs, z, r, n, rh)
+
+    @staticmethod
+    def vjp(g, xs, out, attrs):
+        _, (hs, z, r, n, rh) = out
+        _, _, _, whz, whr, whn = xs
+        t, _, hid = z.shape
+        gz, gr, gn = np.empty((3, *z.shape))
+        for s in reversed(range(t)):
+            h = hs[s]
+            gn[s] = g * (1.0 - z[s]) * (1.0 - n[s] * n[s])
+            grh = gn[s] @ whn.T
+            gr[s] = grh * h * r[s] * (1.0 - r[s])
+            gz[s] = g * (h - n[s]) * z[s] * (1.0 - z[s])
+            g = g * z[s] + grh * r[s] + gr[s] @ whr.T + gz[s] @ whz.T
+        # each step's gradient for the gate pre-activations, (T, B, H) -> (B, T, H)
+        needs = attrs["needs"]
+        grads = [
+            np.ascontiguousarray(ga.transpose(1, 0, 2)) if need else None
+            for ga, need in zip((gz, gr, gn), needs)
+        ]
+        for ga, state, need in zip((gz, gr, gn), (hs[:-1], hs[:-1], rh), needs[3:]):
+            grads.append(state.reshape(-1, hid).T @ ga.reshape(-1, hid) if need else None)
+        return tuple(grads)
 
 
 def _pool_counts(dims, stride):
@@ -648,9 +711,9 @@ class _SquaredErrorSum:
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        a, b = xs
+        (a, b), (na, nb) = xs, attrs["needs"]
         d = 2.0 * g * (a - b)
-        return d, -d
+        return d if na else None, -d if nb else None
 
 
 @_register("cross_entropy_logits")
@@ -829,27 +892,30 @@ def grad_check(kind, shapes, seed, attrs=None):
 GRADCHECK_SUITE = (
     ("add", ((3, 4), (3, 4)), None),
     ("add", ((3, 4), (4,)), None),
-    ("subtract", ((3, 4), (3, 4)), None),
+    # a one-channel clip through a first conv, as both conv models start
+    ("conv2d", ((1, 2, 6, 5), (3, 1, 3, 3), (3, 1, 1, 1)), {"stride": (2, 2), "padding": (1, 1)}),
     ("multiply", ((3, 4), (3, 4)), None),
     # attention with fewer key/value tokens than queries, as after kv pooling
     ("pooled_attention", ((2, 6, 4), (2, 3, 4), (2, 3, 4)), {"heads": 2}),
-    ("matmul", ((3, 4), (4, 2)), None),
-    ("matmul", ((2, 3, 4), (2, 4, 2)), None),
-    ("matmul", ((2, 3, 4), (4, 2)), None),
+    ("linear", ((3, 4), (4, 2), (2,)), None),
+    # (B, N, C) tokens, and patchify's (B, T, H, W, patch) rows
+    ("linear", ((2, 3, 4), (4, 2), (2,)), None),
+    ("linear", ((2, 2, 1, 3, 4), (4, 3), (3,)), None),
     ("reshape", ((2, 6),), {"shape": (3, 4)}),
     ("permute", ((2, 3, 4),), {"axes": (2, 0, 1)}),
     ("concat", ((2, 3), (2, 2)), {"axis": 1}),
-    ("slice", ((4, 5),), {"starts": (1, 0), "stops": (3, 4)}),
+    ("layer_norm", ((2, 3, 5), (5,), (5,)), None),
     ("relu", ((8,),), None),
-    ("sigmoid", ((6,),), None),
-    ("tanh", ((6,),), None),
+    # one step, and backpropagation through four
+    ("gru", ((2, 1, 3), (2, 1, 3), (2, 1, 3), (3, 3), (3, 3), (3, 3)), None),
+    ("gru", ((2, 4, 3), (2, 4, 3), (2, 4, 3), (3, 3), (3, 3), (3, 3)), None),
     ("pooled_attention", ((2, 5, 3), (2, 4, 3), (2, 4, 3)), {"heads": 1}),
     ("pooled_attention", ((1, 4, 6), (1, 4, 6), (1, 4, 6)), {"heads": 3}),
-    ("layer_norm", ((4,),), None),
-    ("layer_norm", ((2, 5),), None),
-    ("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3)), {"stride": (2, 2), "padding": (1, 1)}),
+    ("layer_norm", ((4,), (4,), (4,)), None),
+    ("layer_norm", ((2, 5), (5,), (5,)), None),
+    ("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3), (3, 1, 1, 1)), {"stride": (2, 2), "padding": (1, 1)}),
     # a 1x3 kernel over a (1, T) grid
-    ("conv2d", ((2, 2, 1, 7), (3, 2, 1, 3)), {"stride": (1, 2), "padding": (0, 1)}),
+    ("conv2d", ((2, 2, 1, 7), (3, 2, 1, 3), (3, 1, 1, 1)), {"stride": (1, 2), "padding": (0, 1)}),
     ("avg_pool", ((2, 5, 3),), {"stride": (2,)}),
     ("avg_pool", ((2, 5, 4, 3),), {"stride": (2, 2)}),
     ("avg_pool", ((2, 3, 5, 4, 2),), {"stride": (2, 2, 2)}),
@@ -862,7 +928,7 @@ GRADCHECK_SUITE = (
     # a positional table added to every batch item, as patchify does
     ("add", ((2, 3, 4, 5), (3, 4, 5)), None),
     # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W), odd T
-    ("conv2d", ((2, 2, 7, 3), (3, 2, 3, 1)), {"stride": (2, 1), "padding": (1, 0)}),
+    ("conv2d", ((2, 2, 7, 3), (3, 2, 3, 1), (3, 1, 1, 1)), {"stride": (2, 1), "padding": (1, 0)}),
 )
 
 
@@ -873,16 +939,12 @@ def add(a, b):
     return apply("add", (a, b))
 
 
-def subtract(a, b):
-    return apply("subtract", (a, b))
-
-
 def multiply(a, b):
     return apply("multiply", (a, b))
 
 
-def matmul(a, b):
-    return apply("matmul", (a, b))
+def linear(x, w, b):
+    return apply("linear", (x, w, b))
 
 
 def reshape(a, shape):
@@ -897,32 +959,24 @@ def concat(tensors, axis):
     return apply("concat", tuple(tensors), {"axis": axis})
 
 
-def slice_(a, starts, stops):
-    return apply("slice", (a,), {"starts": tuple(starts), "stops": tuple(stops)})
-
-
 def relu(a):
     return apply("relu", (a,))
-
-
-def sigmoid(a):
-    return apply("sigmoid", (a,))
-
-
-def tanh(a):
-    return apply("tanh", (a,))
 
 
 def pooled_attention(q, k, v, heads):
     return apply("pooled_attention", (q, k, v), {"heads": int(heads)})
 
 
-def layer_norm(a, epsilon=1e-5):
-    return apply("layer_norm", (a,), {"epsilon": epsilon})
+def layer_norm(x, gain, shift, epsilon=1e-5):
+    return apply("layer_norm", (x, gain, shift), {"epsilon": epsilon})
 
 
-def conv2d(x, w, stride, padding):
-    return apply("conv2d", (x, w), {"stride": tuple(stride), "padding": tuple(padding)})
+def conv2d(x, w, b, stride, padding):
+    return apply("conv2d", (x, w, b), {"stride": tuple(stride), "padding": tuple(padding)})
+
+
+def gru(xz, xr, xn, whz, whr, whn):
+    return apply("gru", (xz, xr, xn, whz, whr, whn))
 
 
 def avg_pool(x, stride):

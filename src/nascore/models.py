@@ -10,11 +10,16 @@ which averaging makes the same function as projecting, then pooling.
 micro-r2plus1d: factorized blocks of 2D spatial convolution then
 temporal convolution, the latter a 3x1 conv2d over (T, H*W), so every
 pixel's frames at once. micro-cnn-rnn: a shared 2D conv encoder per frame
-feeding a gated recurrent cell. Every convolution in these models is a
-conv2d plus bias, then ReLU. The conv models keep their activations
-channel-major, (C, B*T, H, W), as conv2d takes and gives them, so no
-block permutes its activations; only the head (r2plus1d) or the recurrent
-cell's input (cnn-rnn) turns (C, B) features into (B, C).
+feeding a gated recurrent cell.
+
+Each layer is one autodiff op: a dense layer is ``linear``, a norm with
+its gain and shift is ``layer_norm``, and every convolution, which these
+models always follow by its bias and then ReLU, is ``conv2d``. The
+recurrent cell is one ``gru`` over all frames, fed by one ``linear`` per
+gate that projects every frame at once. The conv models keep their
+activations channel-major, (C, B*T, H, W), as conv2d takes and gives
+them, so no block permutes its activations; only the head (r2plus1d) or
+the recurrent cell's input (cnn-rnn) turns (C, B) features into (B, C).
 
 All variants end in the same head, ReLU then dense. mini-mvit and
 micro-r2plus1d feed it the mean over their token or space-time axes;
@@ -298,17 +303,15 @@ def _init_cnn_rnn(init, config):
 
 
 def _dense(params, name, x):
-    return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _conv_relu(params, name, x, stride, padding):
-    conv = ad.conv2d(x, params[f"{name}.w"], stride=stride, padding=padding)
-    return ad.relu(ad.add(conv, params[f"{name}.b"]))
+    return ad.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=padding)
 
 
 def _affine_norm(params, name, x):
-    normed = ad.layer_norm(x)
-    return ad.add(ad.multiply(normed, params[f"{name}.g"]), params[f"{name}.b"])
+    return ad.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
 def _pool_grid(grid, stride) -> TokenGrid:
@@ -344,8 +347,7 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
     x = ad.reshape(x, (b, gt, pt, gh, ph, gw, pw))
     x = ad.permute(x, (0, 1, 3, 5, 2, 4, 6))
     x = ad.reshape(x, (b, gt, gh, gw, pt * ph * pw))
-    x = ad.add(ad.matmul(x, weight), bias)
-    x = ad.add(x, pos_table)
+    x = ad.add(ad.linear(x, weight, bias), pos_table)
     tokens = ad.reshape(x, (b, gt * gh * gw, weight.shape[1]))
     return TokenGrid(tokens=tokens, dims=(gt, gh, gw))
 
@@ -437,28 +439,11 @@ def _forward_cnn_rnn(params, x, config, capture):
     feat_dim = cur.shape[0]
     feats = ad.permute(ad.mean(cur, axes=(2, 3)), (1, 0))
     feats = ad.reshape(feats, (b, t, feat_dim))
-    hid = config.hidden_size
-    h_state = ad.zeros((b, hid))
-    one = ad.ones((b, hid))
-    for step in range(t):
-        xt = ad.reshape(
-            ad.slice_(feats, (0, step, 0), (b, step + 1, feat_dim)), (b, feat_dim)
-        )
-        z = ad.sigmoid(
-            ad.add(_dense(params, "gru.xz", xt), ad.matmul(h_state, params["gru.hz.w"]))
-        )
-        r = ad.sigmoid(
-            ad.add(_dense(params, "gru.xr", xt), ad.matmul(h_state, params["gru.hr.w"]))
-        )
-        n = ad.tanh(
-            ad.add(
-                _dense(params, "gru.xn", xt),
-                ad.matmul(ad.multiply(r, h_state), params["gru.hn.w"]),
-            )
-        )
-        h_state = ad.add(ad.multiply(ad.subtract(one, z), n), ad.multiply(z, h_state))
+    # each gate's input projection runs over all T frames as one linear
+    xz, xr, xn = (_dense(params, f"gru.x{gate}", feats) for gate in "zrn")
+    h_state = ad.gru(xz, xr, xn, *(params[f"gru.h{gate}.w"] for gate in "zrn"))
     if capture is not None:
-        capture.append(((t,), hid))
+        capture.append(((t,), config.hidden_size))
     return _dense(params, "head", ad.relu(h_state))
 
 

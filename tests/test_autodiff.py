@@ -94,30 +94,107 @@ def conv2d_reference(x, w, g, stride, padding):
 
 
 def assert_conv2d_matches_loop_reference(x_shape, w_shape, stride, padding):
-    """conv2d and its vjp against the batch-first loop reference, with x
-    (B, C, H, W) and g transposed into and out of the channel-major op."""
+    """conv2d (conv, bias, ReLU) and its vjp against the batch-first loop
+    reference with the bias and ReLU applied around it, with x (B, C, H, W)
+    and g transposed into and out of the channel-major op."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[0])
     tx = ad.tensor(x.transpose(1, 0, 2, 3), requires_grad=True)
     tw = ad.tensor(w, requires_grad=True)
-    out = ad.conv2d(tx, tw, stride, padding)
+    tb = ad.tensor(b.reshape(-1, 1, 1, 1), requires_grad=True)
+    out = ad.conv2d(tx, tw, tb, stride, padding)
     g = rng.standard_normal(out.shape)
     gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
     got = (
         out.data.transpose(1, 0, 2, 3),
         gmap[tx.node_id].data.transpose(1, 0, 2, 3),
         gmap[tw.node_id].data,
+        gmap[tb.node_id].data.reshape(-1),
     )
-    for a, ref in zip(got, conv2d_reference(x, w, g.transpose(1, 0, 2, 3), stride, padding)):
+    g = g.transpose(1, 0, 2, 3)
+    conv, _, _ = conv2d_reference(x, w, g, stride, padding)
+    pre = conv + b[:, None, None]
+    # the ReLU passes the output gradient where the pre-activation is positive
+    g_pre = g * (pre > 0.0)
+    _, gx, gw = conv2d_reference(x, w, g_pre, stride, padding)
+    expected = (np.maximum(pre, 0.0), gx, gw, g_pre.sum(axis=(0, 2, 3)))
+    for a, ref in zip(got, expected):
         np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
+
+
+def gru_reference(xz, xr, xn, whz, whr, whn):
+    """The final hidden state of the GRU recurrence as a plain loop over
+    steps, with sigmoid and tanh written out."""
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    h = np.zeros((xz.shape[0], xz.shape[2]))
+    for t in range(xz.shape[1]):
+        z = sigmoid(xz[:, t] + h @ whz)
+        r = sigmoid(xr[:, t] + h @ whr)
+        n = np.tanh(xn[:, t] + (r * h) @ whn)
+        h = (1.0 - z) * n + z * h
+    return h
 
 
 class TestForwardValues:
     def test_matmul_identity(self):
+        # linear's matmul with the identity, and a zero bias, returns x
         a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
         eye = ad.tensor(np.eye(2))
-        np.testing.assert_array_equal(ad.matmul(a, eye).data, a.data)
+        np.testing.assert_array_equal(ad.linear(a, eye, ad.zeros((2,))).data, a.data)
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+    def test_linear_matches_numpy_composition(self, x_shape):
+        rng = np.random.default_rng(14)
+        x, w, b = (rng.standard_normal(s) for s in (x_shape, (4, 3), (3,)))
+        tensors = [ad.tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = ad.linear(*tensors)
+        g = rng.standard_normal(out.shape)
+        gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+        rows, g_rows = x.reshape(-1, 4), g.reshape(-1, 3)
+        expected = (x @ w + b, g @ w.T, rows.T @ g_rows, g_rows.sum(axis=0))
+        got = (out.data, *(gmap[t.node_id].data for t in tensors))
+        for a, ref in zip(got, expected):
+            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
+
+    def test_layer_norm_matches_numpy_composition(self):
+        rng = np.random.default_rng(15)
+        x, gain, shift = (rng.standard_normal(s) for s in ((2, 3, 5), (5,), (5,)))
+        tensors = [ad.tensor(a, requires_grad=True) for a in (x, gain, shift)]
+        out = ad.layer_norm(*tensors)
+        g = rng.standard_normal(out.shape)
+        gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gh = g * gain
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        expected = (xhat * gain + shift, gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
+        got = (out.data, *(gmap[t.node_id].data for t in tensors))
+        for a, ref in zip(got, expected):
+            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 4, 16])
+    def test_gru_matches_numpy_loop(self, steps):
+        rng = np.random.default_rng(16)
+        arrays = [rng.standard_normal((3, steps, 5)) for _ in range(3)]
+        arrays += [rng.standard_normal((5, 5)) * 0.5 for _ in range(3)]
+        out = ad.gru(*(ad.tensor(a) for a in arrays)).data
+        np.testing.assert_allclose(out, gru_reference(*arrays), rtol=1e-12, atol=1e-12)
+
+    def test_gru_saturated_gates_stay_finite(self):
+        # gate inputs of +-800 would overflow exp(-x) in a naive sigmoid;
+        # saturated gates copy the state (z = 1) or take n = +-1 (z = 0)
+        x = np.array([[[800.0, -800.0]]])
+        zero = ad.tensor(np.zeros((2, 2)))
+        held = ad.gru(ad.tensor(np.full_like(x, 800.0)), ad.tensor(x), ad.tensor(x), zero, zero, zero)
+        np.testing.assert_array_equal(held.data, [[0.0, 0.0]])
+        taken = ad.gru(ad.tensor(np.full_like(x, -800.0)), ad.tensor(x), ad.tensor(x), zero, zero, zero)
+        np.testing.assert_array_equal(taken.data, [[1.0, -1.0]])
 
     def test_relu(self):
         out = ad.relu(ad.tensor([-1.0, 0.0, 2.5]))
@@ -134,21 +211,25 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, expected)
 
     def test_conv2d_ones(self):
-        # 3x3 ones convolved with a 2x2 ones kernel: every window sums 4
+        # 3x3 ones convolved with a 2x2 ones kernel: every window sums 4,
+        # and the bias of -1 leaves 3 after the ReLU
         x = ad.tensor(np.ones((1, 1, 3, 3)))
         w = ad.tensor(np.ones((1, 1, 2, 2)))
-        out = ad.conv2d(x, w, stride=(1, 1), padding=(0, 0))
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        b = ad.tensor(np.full((1, 1, 1, 1), -1.0))
+        out = ad.conv2d(x, w, b, stride=(1, 1), padding=(0, 0))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 3.0))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_height_one_conv2d_is_1d_correlation(self, stride):
         # a 1xk kernel over a (1, T) grid; conv2d is channel-major, so x goes
-        # in as (C, B, 1, T) and the output comes back as (O, B, 1, T')
+        # in as (C, B, 1, T) and the output comes back as (O, B, 1, T'),
+        # through a zero bias and the ReLU
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 3, 1, 7))
         w = rng.standard_normal((4, 3, 1, 3))
         tx = ad.tensor(x.transpose(1, 0, 2, 3))
-        out = ad.conv2d(tx, ad.tensor(w), stride=(1, stride), padding=(0, 1)).data
+        b = ad.zeros((4, 1, 1, 1))
+        out = ad.conv2d(tx, ad.tensor(w), b, stride=(1, stride), padding=(0, 1)).data
         out = out.transpose(1, 0, 2, 3)
         xp = np.pad(x[:, :, 0], ((0, 0), (0, 0), (1, 1)))
         n_out = (7 + 2 - 3) // stride + 1
@@ -157,7 +238,7 @@ class TestForwardValues:
             for o in range(4):
                 for j in range(n_out):
                     window = xp[b, :, j * stride : j * stride + 3]
-                    expected[b, o, j] = np.sum(window * w[o, :, 0])
+                    expected[b, o, j] = max(np.sum(window * w[o, :, 0]), 0.0)
         assert out.shape == (2, 4, 1, n_out)
         np.testing.assert_allclose(out[:, :, 0], expected, rtol=1e-12, atol=1e-12)
 
@@ -228,8 +309,26 @@ class TestErrors:
 
     def test_shape_mismatch_reports_both(self):
         with pytest.raises(ad.ShapeMismatch) as exc:
-            ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
+            ad.linear(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))), ad.zeros((3,)))
         assert "expected" in str(exc.value)
+
+    @pytest.mark.parametrize("kind,shapes,attrs,expected", [
+        ("linear", ((3,), (3, 2), (2,)), None, r"\(\.\.\., C\) input"),
+        ("linear", ((4, 3), (2, 2), (2,)), None, r"\(\.\.\., C\) input"),
+        ("linear", ((4, 3), (3, 2), (3,)), None, r"bias of shape \(2,\)"),
+        ("layer_norm", ((2, 5), (4,), (5,)), None, r"\(C,\) gain and shift"),
+        ("layer_norm", ((2, 5), (5,), (1, 5)), None, r"\(C,\) gain and shift"),
+        ("conv2d", ((2, 1, 5, 5), (3, 2, 3, 3), (3,)), {"stride": (1, 1), "padding": (1, 1)},
+         r"bias of shape \(3, 1, 1, 1\)"),
+        ("gru", ((2, 4, 3), (2, 4, 3), (2, 3, 3), (3, 3), (3, 3), (3, 3)), None,
+         r"three \(B, T, H\) input projections"),
+        ("gru", ((2, 4, 3), (2, 4, 3), (2, 4, 3), (3, 3), (3, 2), (3, 3)), None,
+         r"\(3, 3\) recurrent weights"),
+    ], ids=["linear-rank", "linear-width", "linear-bias", "layer_norm-gain", "layer_norm-shift",
+            "conv2d-bias", "gru-inputs", "gru-weights"])
+    def test_fused_op_shapes(self, kind, shapes, attrs, expected):
+        with pytest.raises(ad.ShapeMismatch, match=expected):
+            ad.apply(kind, [ad.tensor(np.ones(s)) for s in shapes], attrs)
 
     @pytest.mark.parametrize("shapes,heads,expected", [
         (((2, 3), (2, 3, 4), (2, 3, 4)), 2, "rank-3"),
@@ -299,7 +398,8 @@ class TestBackward:
         xv = rng.standard_normal(4)
         wv = rng.standard_normal(4)
         x = ad.tensor(xv, requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.multiply(ad.layer_norm(x), ad.tensor(wv))))
+        normed = ad.layer_norm(x, ad.tensor(np.ones(4)), ad.zeros((4,)))
+        gmap = ad.backward(ad.sum_(ad.multiply(normed, ad.tensor(wv))))
 
         def fn(arrs):
             v = arrs[0]
@@ -313,7 +413,7 @@ class TestBackward:
     def test_layer_norm_plain_sum_gradient_is_zero(self):
         rng = np.random.default_rng(8)
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.layer_norm(x)))
+        gmap = ad.backward(ad.sum_(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.zeros((4,)))))
         np.testing.assert_allclose(gmap[x.node_id].data, 0.0, atol=1e-12)
 
     def test_gradient_map_keys_are_node_ids(self):
@@ -351,23 +451,28 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = ad.tensor(rng.standard_normal((2, 3, 5, 5)))
         w = ad.tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.conv2d(x, w, (2, 2), (1, 1))))
-        assert needs == [(False, True)] and scatters == []
+        b = ad.zeros((4, 1, 1, 1))
+        gmap = ad.backward(ad.sum_(ad.conv2d(x, w, b, (2, 2), (1, 1))))
+        assert needs == [(False, True, False)] and scatters == []
         assert set(gmap) == {w.node_id}
-        # grad_check asks for both inputs, so it still checks the scatter
+        # grad_check asks for every input, so it still checks the scatter
         attrs = {"stride": (2, 2), "padding": (1, 1)}
-        report = ad.grad_check("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3)), seed=0, attrs=attrs)
-        assert needs[1:] == [(True, True)] and len(scatters) == 1
+        shapes = ((2, 2, 5, 5), (3, 2, 3, 3), (3, 1, 1, 1))
+        report = ad.grad_check("conv2d", shapes, seed=0, attrs=attrs)
+        assert needs[1:] == [(True, True, True)] and len(scatters) == 1
         assert report.max_rel_err < 1e-4
 
     def test_backward_frees_the_tape_as_it_walks(self):
-        # a 20-op chain of 1.6 MB activations: keeping every intermediate
-        # gradient until the walk ends allocates about 20 activations, while
-        # freeing each once its vjp has run allocates about 3
-        x = ad.tensor(np.linspace(-1.0, 1.0, 200_000), requires_grad=True)
+        # a 20-op chain of 1.6 MB activations (linear, then relu, ten times):
+        # keeping every intermediate gradient until the walk ends allocates
+        # about 20 activations, while freeing each once its vjp has run
+        # allocates about 3
+        x = ad.tensor(np.linspace(-1.0, 1.0, 200_000).reshape(-1, 2), requires_grad=True)
+        w = ad.tensor([[0.8, -0.6], [0.6, 0.8]])
+        b = ad.tensor([0.1, 0.1])
         y = x
-        for _ in range(20):
-            y = ad.tanh(y)
+        for _ in range(10):
+            y = ad.relu(ad.linear(y, w, b))
         loss = ad.sum_(y)
         tracemalloc.start()
         try:
@@ -423,7 +528,8 @@ class TestGradCheck:
         assert ad.grad_check("relu", [(8,)], seed=1).max_rel_err < 1e-6
 
     def test_matmul_example(self):
-        assert ad.grad_check("matmul", [(3, 4), (4, 2)], seed=1).max_rel_err < 1e-4
+        # linear's x @ w + b
+        assert ad.grad_check("linear", [(3, 4), (4, 2), (2,)], seed=1).max_rel_err < 1e-4
 
     def test_softmax_example(self):
         # the attention softmax, its scale and both matmuls, in one op

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nascore import autodiff as ad
-from nascore import dataset, models
+from nascore import dataset, models, training
 
 
 def micro_config(variant, head="classify-8", frame_hw=(8, 8), seed=0):
@@ -24,6 +24,22 @@ def micro_config(variant, head="classify-8", frame_hw=(8, 8), seed=0):
 
 def random_batch(rng, n, frame_hw=(8, 8)):
     return ad.tensor(rng.uniform(0.0, 1.0, size=(n, 16, *frame_hw)))
+
+
+def forward_op_kinds(monkeypatch, variant):
+    """The op kinds, in call order, of one forward of ``variant``'s default
+    model on two 24x32 clips."""
+    kinds = []
+    apply = ad.apply
+
+    def spy(kind, inputs, attrs=None):
+        kinds.append(kind)
+        return apply(kind, inputs, attrs)
+
+    monkeypatch.setattr(ad, "apply", spy)
+    model = models.build_model(models.default_config(variant, "classify-8", (24, 32)))
+    model.forward(random_batch(np.random.default_rng(7), 2, (24, 32)))
+    return kinds
 
 
 class TestBuildModel:
@@ -300,18 +316,29 @@ class TestForward:
     def test_conv_models_permute_only_their_features(self, monkeypatch, variant, convs):
         # conv2d is channel-major, so activations pass between convs by free
         # reshapes; the one permute turns the (C, B) features into (B, C)
-        kinds = []
-        apply = ad.apply
-
-        def spy(kind, inputs, attrs=None):
-            kinds.append(kind)
-            return apply(kind, inputs, attrs)
-
-        monkeypatch.setattr(ad, "apply", spy)
-        model = models.build_model(models.default_config(variant, "classify-8", (24, 32)))
-        model.forward(random_batch(np.random.default_rng(7), 2, (24, 32)))
+        kinds = forward_op_kinds(monkeypatch, variant)
         assert kinds.count("permute") == 1
         assert kinds.count("conv2d") == convs
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_each_layer_is_one_op(self, monkeypatch, variant):
+        # a dense layer is one linear, a norm one layer_norm, a conv with its
+        # bias and ReLU one conv2d and the recurrence one gru, so un-fusing
+        # any of them changes these counts
+        kinds = forward_op_kinds(monkeypatch, variant)
+        if variant == "mini-mvit":
+            # patch embedding, 6 per block, 1 per transition skip, the head
+            assert "multiply" not in kinds and "relu" in kinds
+            assert kinds.count("linear") == 1 + 3 * 6 + 2 + 1
+            assert kinds.count("layer_norm") == 3 * 2 + 1
+            assert len(kinds) == 66
+        elif variant == "micro-r2plus1d":
+            # only the head's ReLU stands alone
+            assert kinds.count("relu") == 1 and kinds.count("linear") == 1
+            assert len(kinds) == 16
+        else:
+            assert kinds.count("gru") == 1 and kinds.count("linear") == 4
+            assert len(kinds) <= 12
 
     def test_multiscale_schedule_monotone(self):
         cfg = models.default_config("mini-mvit", "classify-8", (32, 24))
@@ -329,6 +356,46 @@ class TestForward:
         out_moving = model.forward(ad.tensor(moving)).data
         out_frozen = model.forward(ad.tensor(frozen)).data
         assert not np.allclose(out_moving, out_frozen)
+
+
+class _NeedsSpy:
+    """Stands in for one autodiff._OPS entry and records, for every input
+    whose ``attrs["needs"]`` entry is False, whether its vjp returned a
+    gradient for it anyway."""
+
+    def __init__(self, kind, op, seen):
+        self.forward = op.forward
+
+        def vjp(g, xs, out, attrs):
+            grads = op.vjp(g, xs, out, attrs)
+            for i, (grad, need) in enumerate(zip(grads, attrs["needs"])):
+                if not need:
+                    seen.append((kind, i, grad is not None))
+            return grads
+
+        self.vjp = vjp
+
+
+class TestBackward:
+    @pytest.mark.parametrize("head", [models.CLASSIFY_HEAD, "regress-1"])
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_no_vjp_computes_a_gradient_nothing_needs(self, monkeypatch, variant, head):
+        # backward drops the gradient of every input that needs none (the
+        # clip, a loss target), so a vjp that returns one computed it in vain
+        seen = []
+        for kind, op in list(ad._OPS.items()):
+            monkeypatch.setitem(ad._OPS, kind, _NeedsSpy(kind, op, seen))
+        model = models.build_model(models.default_config(variant, head, (24, 32)))
+        rng = np.random.default_rng(8)
+        out = model.forward(random_batch(rng, 2, (24, 32)))
+        if head == "regress-1":
+            loss = training.loss_direct(out, [1.5, 4.0])
+        else:
+            loss = training.loss_indirect(out, [0, 5])
+        gmap = ad.backward(loss)
+        assert set(gmap) == {p.node_id for p in model.params.values()}
+        assert seen, "no op input went without a gradient"
+        assert [(kind, i) for kind, i, computed in seen if computed] == []
 
 
 def checkpoint_parts(path):
