@@ -204,13 +204,20 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
+def _row_mean(c):
+    """The (C, 1) column that takes row means of a (..., C) array as a GEMV:
+    numpy's own reduction along an axis only C = 8..72 wide runs several
+    times slower than the BLAS product."""
+    return np.full((c, 1), 1.0 / c)
+
+
 @_register("linear")
 class _Linear:
     """A dense layer, x @ w + b, for x (..., C), w (C, O) and b (O,).
 
     The vjp flattens x's leading axes into rows, so the weight gradient is
-    one GEMM, and it skips the input gradient when x needs none (a clip's
-    patch rows)."""
+    one GEMM and the bias gradient one GEMV, ones @ rows; it skips the
+    input gradient when x needs none (a clip's patch rows)."""
 
     @staticmethod
     def forward(xs, attrs):
@@ -230,7 +237,7 @@ class _Linear:
         return (
             (rows @ w.T).reshape(x.shape) if nx else None,
             _rows(x).T @ rows if nw else None,
-            rows.sum(axis=0) if nb else None,
+            np.ones(len(rows)) @ rows if nb else None,
         )
 
 
@@ -304,7 +311,9 @@ class _LayerNorm:
     then scales by g and shifts by b, both (C,).
 
     The residual is the normalized input xhat and the per-row
-    1/sqrt(var + eps).
+    1/sqrt(var + eps). Every reduction is a BLAS product: the row means of
+    the forward and the vjp are x @ (1/C column), the gain and shift
+    gradients ones @ rows.
     """
 
     @staticmethod
@@ -316,8 +325,9 @@ class _LayerNorm:
                 f"{x.shape}, {gain.shape}, {shift.shape}",
             )
         eps = attrs.get("epsilon", 1e-5)
-        xc = x - x.mean(axis=-1, keepdims=True)
-        sd = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+        avg = _row_mean(x.shape[-1])
+        xc = x - x @ avg
+        sd = np.sqrt((xc * xc) @ avg + eps)
         xc /= sd
         out = xc * gain
         out += shift
@@ -329,17 +339,19 @@ class _LayerNorm:
         nx, ngain, nshift = attrs["needs"]
         gx = None
         if nx:
+            avg = _row_mean(g.shape[-1])
             gh = g * gain
-            gm = gh.mean(axis=-1, keepdims=True)
-            gxm = (gh * xhat).mean(axis=-1, keepdims=True)
+            gm = gh @ avg
+            gxm = (gh * xhat) @ avg
             gh -= gm
             gh -= xhat * gxm
             gx = gh * inv
         rows = _rows(g)
+        ones = np.ones(len(rows))
         return (
             gx,
-            (rows * _rows(xhat)).sum(axis=0) if ngain else None,
-            rows.sum(axis=0) if nshift else None,
+            ones @ (rows * _rows(xhat)) if ngain else None,
+            ones @ rows if nshift else None,
         )
 
 
@@ -355,9 +367,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-# the byte budget of one query tile's (B, heads, rows, Nk) weight block:
+# the byte budget of one query tile's (B, heads, Nk, rows) weight block:
 # about half of a 2 MiB per-core L2, so the logits stay in cache through
-# the scale, max, exp and normalisation passes
+# the max, exp, row-sum and context passes
 ATTENTION_TILE_BYTES = 1 << 20
 
 
@@ -373,11 +385,18 @@ class _PooledAttention:
     k, v (B, Nk, C); the heads split C into equal slices of width d.
 
     Both passes walk the queries in row tiles (``_query_tiles``), so no
-    (Nq, Nk) array is ever held, only one tile's weights. The residual is
-    (q heads, k^T, v heads, per-row log-sum-exp of the scaled logits); the
-    vjp rebuilds each tile's weights as exp(q k^T / sqrt(d) - lse) and takes
-    the softmax-vjp row term from the context, rowsum(g * ctx), which equals
-    rowsum(g v^T * w).
+    (Nq, Nk) array is ever held, only one tile's weights. 1/sqrt(d) is
+    folded into the split q heads once, so no pass scales a logit tile.
+    Each tile's logits are key-major, k q^T (Nk, rows): the per-query max
+    and sum over the keys then run down columns, the sum as the GEMV
+    ones @ w. The forward leaves the weights unnormalised, exp(s - max),
+    and divides the (rows, d) context by their sum instead, as
+    FlashAttention does. The residual is (scaled q heads, k heads, v heads,
+    per-query log-sum-exp of the logits); the vjp rebuilds each tile's
+    weights as exp(s - lse), takes the softmax-vjp row term from the
+    context, rowsum(g * ctx) as a GEMV with ones(d), which equals
+    rowsum(g v^T * w), and scales the q gradient by 1/sqrt(d) once at the
+    end.
     """
 
     @staticmethod
@@ -397,54 +416,57 @@ class _PooledAttention:
             raise ShapeMismatch("pooled_attention", f"{k.shape[1]} value tokens", f"{v.shape[1]}")
         if heads < 1 or c % heads != 0:
             raise ShapeMismatch("pooled_attention", f"width divisible by {heads} heads", f"{c}")
-        qh, vh = _split_heads(q, heads), _split_heads(v, heads)
-        kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 1, 3, 2))
-        scale = 1.0 / math.sqrt(c // heads)
+        # out of place: at one head, _split_heads returns a view of q
+        qh = _split_heads(q, heads) * (1.0 / math.sqrt(c // heads))
+        kh, vh = _split_heads(k, heads), _split_heads(v, heads)
+        ones = np.ones(k.shape[1])
         ctx = np.empty(qh.shape)
-        lse = np.empty((b, heads, nq, 1))
+        lse = np.empty((b, heads, 1, nq))
         for rows in _query_tiles(b, heads, nq, k.shape[1]):
-            w = qh[:, :, rows] @ kt
-            w *= scale
-            m = w.max(axis=-1, keepdims=True)
-            w -= m
-            np.exp(w, out=w)
-            total = w.sum(axis=-1, keepdims=True)
-            w /= total
-            ctx[:, :, rows] = w @ vh
-            lse[:, :, rows] = m + np.log(total)
-        return _merge_heads(ctx), (qh, kt, vh, lse)
+            # key-major logits, (B, heads, Nk, rows)
+            wt = kh @ np.swapaxes(qh[:, :, rows], -1, -2)
+            m = wt.max(axis=-2, keepdims=True)
+            wt -= m
+            np.exp(wt, out=wt)
+            total = ones @ wt
+            part = np.swapaxes(wt, -1, -2) @ vh
+            part /= total[..., None]
+            ctx[:, :, rows] = part
+            lse[:, :, :, rows] = m + np.log(total)[:, :, None]
+        return _merge_heads(ctx), (qh, kh, vh, lse)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        ctx, (qh, kt, vh, lse) = out
+        ctx, (qh, kh, vh, lse) = out
         b, h, nq, d = qh.shape
-        scale = 1.0 / math.sqrt(d)
         nq_, nk_, nv_ = attrs["needs"]
         gc = _split_heads(g, h)
         # softmax-vjp row term per (batch, head, query): rowsum(g * ctx)
-        rowdot = (g * ctx).reshape(b, nq, h, d).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        rowdot = ((g * ctx).reshape(-1, d) @ np.ones(d)).reshape(b, nq, h).transpose(0, 2, 1)
+        rowdot = rowdot[:, :, None]
         gq = np.empty(qh.shape) if nq_ else None
-        gkt = np.zeros(kt.shape) if nk_ else None
+        gk = np.zeros(kh.shape) if nk_ else None
         gv = np.zeros(vh.shape) if nv_ else None
-        for rows in _query_tiles(b, h, nq, kt.shape[-1]):
-            w = qh[:, :, rows] @ kt
-            w *= scale
-            w -= lse[:, :, rows]
-            np.exp(w, out=w)
+        for rows in _query_tiles(b, h, nq, kh.shape[2]):
+            # the key-major weights exp(s - lse), (B, heads, Nk, rows)
+            wt = kh @ np.swapaxes(qh[:, :, rows], -1, -2)
+            wt -= lse[:, :, :, rows]
+            np.exp(wt, out=wt)
             if nv_:
-                gv += np.swapaxes(w, -1, -2) @ gc[:, :, rows]
-            gw = gc[:, :, rows] @ np.swapaxes(vh, -1, -2)
-            # softmax vjp, then the 1/sqrt(d) scale, in place
-            gw -= rowdot[:, :, rows]
-            gw *= w
-            gw *= scale
+                gv += wt @ gc[:, :, rows]
+            gwt = vh @ np.swapaxes(gc[:, :, rows], -1, -2)
+            # the softmax vjp, in place: the gradient of the scaled logits
+            gwt -= rowdot[:, :, :, rows]
+            gwt *= wt
             if nq_:
-                gq[:, :, rows] = gw @ np.swapaxes(kt, -1, -2)
+                gq[:, :, rows] = np.swapaxes(gwt, -1, -2) @ kh
             if nk_:
-                gkt += np.swapaxes(qh[:, :, rows], -1, -2) @ gw
+                gk += gwt @ qh[:, :, rows]
+        if nq_:
+            gq *= 1.0 / math.sqrt(d)
         return (
             _merge_heads(gq) if nq_ else None,
-            _merge_heads(np.swapaxes(gkt, -1, -2)) if nk_ else None,
+            _merge_heads(gk) if nk_ else None,
             _merge_heads(gv) if nv_ else None,
         )
 

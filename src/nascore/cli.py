@@ -32,8 +32,8 @@ def parse_geometry(text):
         geometry = (int(h), int(w))
     except ValueError:
         raise CliError(f"bad geometry {text!r}, expected WIDTHxHEIGHT like 96x72")
-    if geometry[0] <= 0 or geometry[1] <= 0:
-        raise CliError(f"geometry extents must be positive, got {text!r}")
+    if geometry[0] < 2 or geometry[1] < 2:
+        raise CliError(f"geometry extents must be at least 2 pixels, got {text!r}")
     return geometry
 
 
@@ -194,7 +194,7 @@ def build_parser():
     p.add_argument("--corpus", required=True, help="corpus directory from synth")
     p.add_argument("--out", required=True, help="prepared manifest file")
     p.add_argument("--rule", choices=("before", "after"), default="before")
-    p.add_argument("--min-count", type=int, default=dataset.OCCURRENCE_THRESHOLD)
+    p.add_argument("--min-count", type=positive_int, default=dataset.OCCURRENCE_THRESHOLD)
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train one (model, method) under k-fold cross-validation")

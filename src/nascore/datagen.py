@@ -319,8 +319,9 @@ def render_clip(
     scale so its classes separate quickly at micro training budgets.
     """
     h, w = geometry
-    if h <= 0 or w <= 0:
-        raise RenderError(f"invalid geometry {geometry}")
+    # pixels map to unit coordinates as index / (extent - 1)
+    if h < 2 or w < 2:
+        raise RenderError(f"invalid geometry {geometry}: extents must be at least 2 pixels")
     seed = entry.seed if seed is None else seed
     t_total = entry.frame_count
 

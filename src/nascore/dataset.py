@@ -177,6 +177,9 @@ def reduce_labels(records, rule="before", min_count=OCCURRENCE_THRESHOLD) -> Man
     """
     if rule not in ("before", "after"):
         raise ValueError(f"rule must be 'before' or 'after', got {rule!r}")
+    if min_count < 1:
+        # a column that never occurs would be retained
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     totals = [0] * N_ACTIVITIES
     for r in records:
         for i, v in enumerate(r.flags):

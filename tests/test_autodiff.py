@@ -146,23 +146,29 @@ class TestForwardValues:
         eye = ad.tensor(np.eye(2))
         np.testing.assert_array_equal(ad.linear(a, eye, ad.zeros((2,))).data, a.data)
 
-    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+    # "stage0" is mini-mvit's first stage at 72x96: 3 clips of 3456 tokens,
+    # 16 wide, long enough for a change in summation order to show
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4), (3, 3456, 16)],
+                             ids=["2d", "3d", "stage0"])
     def test_linear_matches_numpy_composition(self, x_shape):
         rng = np.random.default_rng(14)
-        x, w, b = (rng.standard_normal(s) for s in (x_shape, (4, 3), (3,)))
+        c = x_shape[-1]
+        x, w, b = (rng.standard_normal(s) for s in (x_shape, (c, 3), (3,)))
         tensors = [ad.tensor(a, requires_grad=True) for a in (x, w, b)]
         out = ad.linear(*tensors)
         g = rng.standard_normal(out.shape)
         gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
-        rows, g_rows = x.reshape(-1, 4), g.reshape(-1, 3)
+        rows, g_rows = x.reshape(-1, c), g.reshape(-1, 3)
         expected = (x @ w + b, g @ w.T, rows.T @ g_rows, g_rows.sum(axis=0))
         got = (out.data, *(gmap[t.node_id].data for t in tensors))
         for a, ref in zip(got, expected):
             np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
 
-    def test_layer_norm_matches_numpy_composition(self):
+    @pytest.mark.parametrize("x_shape", [(2, 3, 5), (3, 3456, 16)], ids=["3d", "stage0"])
+    def test_layer_norm_matches_numpy_composition(self, x_shape):
         rng = np.random.default_rng(15)
-        x, gain, shift = (rng.standard_normal(s) for s in ((2, 3, 5), (5,), (5,)))
+        c = x_shape[-1]
+        x, gain, shift = (rng.standard_normal(s) for s in (x_shape, (c,), (c,)))
         tensors = [ad.tensor(a, requires_grad=True) for a in (x, gain, shift)]
         out = ad.layer_norm(*tensors)
         g = rng.standard_normal(out.shape)
@@ -267,13 +273,16 @@ class TestForwardValues:
         b = ad.pooled_attention(q, k, v, heads=2).data
         np.testing.assert_array_equal(a, b)
 
-    def test_pooled_attention_matches_numpy_composition(self):
+    # "stage0" is mini-mvit's first stage at 72x96: 2 heads of width 8 and
+    # 3456 queries over the 72 pooled keys, so each row sum runs 72 wide
+    @pytest.mark.parametrize("b,nq,nk,d", [(2, 5, 4, 3), (3, 3456, 72, 8)], ids=["3d", "stage0"])
+    def test_pooled_attention_matches_numpy_composition(self, b, nq, nk, d):
         rng = np.random.default_rng(6)
-        heads, d = 2, 3
-        q = rng.standard_normal((2, 5, heads * d))
-        k = rng.standard_normal((2, 4, heads * d))
-        v = rng.standard_normal((2, 4, heads * d))
-        g = rng.standard_normal((2, 5, heads * d))
+        heads = 2
+        q = rng.standard_normal((b, nq, heads * d))
+        k = rng.standard_normal((b, nk, heads * d))
+        v = rng.standard_normal((b, nk, heads * d))
+        g = rng.standard_normal((b, nq, heads * d))
         assert_attention_matches_reference(q, k, v, g, heads)
 
     @pytest.mark.parametrize("b,heads,nq,nk", [(1, 1, 200, 2048), (2, 2, 131, 1024)])
@@ -502,6 +511,22 @@ class TestBackward:
         assert residual and all(r.size % (6 * 5) for r in residual)
         gmap = ad.backward(ad.sum_(out))
         assert out.op is None and gmap[q.node_id].shape == (1, 6, 4)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_pooled_attention_leaves_its_inputs_unchanged(self, heads):
+        # grad_check hands the registry writable arrays; at one head the
+        # split q heads are a view of q, so scaling them in place would
+        # rewrite the caller's q
+        rng = np.random.default_rng(19)
+        q, k, v = (rng.standard_normal((2, n, 4)) for n in (5, 3, 3))
+        g = rng.standard_normal(q.shape)
+        before = [a.copy() for a in (q, k, v, g)]
+        assert all(a.flags.writeable for a in (q, k, v, g))
+        op, attrs = ad._OPS["pooled_attention"], {"heads": heads}
+        out = op.forward((q, k, v), attrs)
+        op.vjp(g, (q, k, v), out, {**attrs, "needs": (True, True, True)})
+        for a, copy in zip((q, k, v, g), before):
+            np.testing.assert_array_equal(a, copy)
 
     def test_pooled_attention_holds_no_full_weight_array(self):
         # stage-0-like: 3456 queries over 864 keys, so one (B, heads, Nq, Nk)

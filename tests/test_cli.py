@@ -30,6 +30,16 @@ class TestSynth:
     def test_bad_geometry(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path / "x", "--geometry", "banana", "--smoke") == 1
 
+    @pytest.mark.parametrize("geometry", ["1x1", "2x1", "1x24"])
+    def test_one_pixel_extent_is_one_line_error(self, tmp_path, capsys, recwarn, geometry):
+        # a 1-pixel axis would map its pixel to unit coordinate 0 / 0
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", out, "--geometry", geometry, "--smoke") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: geometry extents must be at least 2 pixels, got {geometry!r}\n"
+        assert not out.exists()
+        assert not recwarn.list
+
 
 @pytest.fixture(scope="module")
 def labels_only_corpus(tmp_path_factory):
@@ -52,6 +62,17 @@ class TestPrep:
         run_cli("prep", "--corpus", labels_only_corpus, "--out", a, "--rule", "before")
         run_cli("prep", "--corpus", labels_only_corpus, "--out", b, "--rule", "after")
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_is_usage_error(self, labels_only_corpus, tmp_path, capsys,
+                                                min_count):
+        out = tmp_path / "prepared.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("prep", "--corpus", labels_only_corpus, "--out", out,
+                    "--min-count", min_count)
+        assert exc.value.code == 2
+        assert f"--min-count: must be >= 1, got {min_count}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_class_index_is_table_position(self, labels_only_corpus, tmp_path, capsys):
         # at 60 occurrences columns a01, a02, a08 and a10 are retained; a class

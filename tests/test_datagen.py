@@ -121,6 +121,12 @@ class TestRenderClip:
         with pytest.raises(datagen.RenderError):
             datagen.render_clip(make_entry([0]), (0, 32))
 
+    @pytest.mark.parametrize("geometry", [(1, 1), (1, 32), (24, 1)])
+    def test_one_pixel_extent_is_render_error(self, geometry):
+        # pixels map to unit coordinates as index / (extent - 1)
+        with pytest.raises(datagen.RenderError, match="at least 2 pixels"):
+            datagen.render_clip(make_entry([0]), geometry)
+
     def test_zero_label_warm_mask_static(self):
         clip = datagen.render_clip(make_entry([]), GEOM)
         warm = clip.frames > 21000

@@ -156,6 +156,13 @@ class TestReduceLabels:
         assert all(e.class_index == 6 for e in manifest.entries)
         assert manifest.class_counts == (0, 0, 0, 0, 0, 0, 60, 0)
 
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_is_value_error(self, table_manifest, min_count):
+        # at 0 or below, columns that never occur would be retained
+        records = dataset.load_labels(table_manifest)
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            dataset.reduce_labels(records, min_count=min_count)
+
     def test_all_multilabel_corpus_is_empty_result(self, tmp_path):
         flags = ["0"] * 23
         flags[0] = flags[1] = "1"
