@@ -233,6 +233,9 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. numpy cannot allocate a clip of a huge --geometry
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

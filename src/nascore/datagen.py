@@ -5,6 +5,13 @@ videos over 23 activity flags, of which 458 carry exactly one retained
 label. The renderer draws each clip as a cool background with sensor
 noise, a static warm patient ellipse, and per-activity caregiver blobs
 moving along class-specific trajectories.
+
+A clip is drawn in place on its int32 noise draw: one broadcast add of a
+base frame (background plus static patient), the rolling patient's mask in
+bounded frame chunks, and one indexed add per distinct blob center over all
+frames that share it. Every term is an exact integer add that cannot
+overflow int32, and integer adds commute, so neither the order of the
+terms nor the grouping of frames changes a byte of the clip.
 """
 
 from __future__ import annotations
@@ -200,6 +207,9 @@ MOTION_PATTERNS = (
 
 PATIENT_CENTER = (0.55, 0.50)
 PATIENT_SEMI = (0.13, 0.24)
+# samples per chunk of the rolling patient's float64 mask (2 MB), so no
+# float temporary spans the whole clip
+_MASK_CHUNK = 1 << 18
 
 
 def _tri(u):
@@ -214,22 +224,27 @@ def _stamp(radius_px, amplitude):
     return (amplitude * np.exp(-(yy**2 + xx**2) / (2.0 * r * r))).astype(np.int32)
 
 
-def _add_stamps(canvas, stamp, ys, xs):
-    """Adds a stamp at integer centers (ys[t], xs[t]) into canvas[t]."""
-    t_total, h, w = canvas.shape
+def _add_stamps(canvas, stamp, frames, ys, xs):
+    """Adds the stamp centered at integer (ys[i], xs[i]) into canvas[frames[i]].
+
+    Frames that share a center get one indexed add over all of them, so the
+    loop runs once per distinct center, not once per frame. The adds are
+    exact int32 sums far from overflow, and they commute, so every sample
+    equals what a frame-by-frame loop would give.
+    """
+    if len(frames) == 0:  # a clip too short to reach a presence window
+        return
+    _, h, w = canvas.shape
     half = stamp.shape[0] // 2
-    for t in range(t_total):
-        cy, cx = ys[t], xs[t]
-        if cy is None:
-            continue
-        y0, y1 = cy - half, cy + half + 1
-        x0, x1 = cx - half, cx + half + 1
-        sy0, sx0 = max(0, -y0), max(0, -x0)
-        sy1 = stamp.shape[0] - max(0, y1 - h)
-        sx1 = stamp.shape[1] - max(0, x1 - w)
-        if sy0 >= sy1 or sx0 >= sx1:
-            continue
-        canvas[t, max(0, y0) : min(h, y1), max(0, x0) : min(w, x1)] += stamp[sy0:sy1, sx0:sx1]
+    keys = ys * w + xs
+    order = np.argsort(keys, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        cy, cx = ys[group[0]], xs[group[0]]
+        y0, y1 = max(0, cy - half), min(h, cy + half + 1)
+        x0, x1 = max(0, cx - half), min(w, cx + half + 1)
+        # stamp row r lands on canvas row cy - half + r; likewise columns
+        sy, sx = half - cy, half - cx
+        canvas[frames[group], y0:y1, x0:x1] += stamp[y0 + sy : y1 + sy, x0 + sx : x1 + sx]
 
 
 def _to_px(y, x, h, w):
@@ -317,6 +332,9 @@ def render_clip(
 
     agent_scale widens the caregiver blobs; the smoke corpus uses a bold
     scale so its classes separate quickly at micro training budgets.
+    The noise draw is the canvas: the base frame, patient and blobs are
+    added to it in place, then it is clipped in place and cast to uint16
+    once. No float temporary spans the whole clip.
     """
     h, w = geometry
     # pixels map to unit coordinates as index / (extent - 1)
@@ -326,10 +344,8 @@ def render_clip(
     t_total = entry.frame_count
 
     noise_rng = np.random.default_rng(seed)
-    noise = noise_rng.integers(-NOISE_DELTA, NOISE_DELTA + 1, size=(t_total, h, w), dtype=np.int32)
+    canvas = noise_rng.integers(-NOISE_DELTA, NOISE_DELTA + 1, size=(t_total, h, w), dtype=np.int32)
     phase_rng = np.random.default_rng(stable_seed(seed, "phases"))
-
-    canvas = np.full((t_total, h, w), BACKGROUND_LEVEL, dtype=np.int32)
 
     cols = entry.label_columns
     moving_patient = any(
@@ -340,18 +356,19 @@ def render_clip(
     # patient ellipse, static unless the roll pattern is active
     yy, xx = np.mgrid[0:h, 0:w]
     uy, ux = yy / (h - 1), xx / (w - 1)
+    ry = ((uy - PATIENT_CENTER[0]) / PATIENT_SEMI[0]) ** 2
     _, dx = _patient_offsets(moving_patient, t_total, phase_rng)
+    base = np.full((h, w), BACKGROUND_LEVEL, dtype=np.int32)
     if moving_patient:
-        for t in range(t_total):
-            mask = ((uy - PATIENT_CENTER[0]) / PATIENT_SEMI[0]) ** 2 + (
-                (ux - PATIENT_CENTER[1] - dx[t]) / PATIENT_SEMI[1]
-            ) ** 2 <= 1.0
-            canvas[t][mask] += PATIENT_DELTA
+        step = max(1, _MASK_CHUNK // (h * w))
+        for t0 in range(0, t_total, step):
+            chunk = canvas[t0 : t0 + step]
+            shift = dx[t0 : t0 + step, None, None]
+            mask = ry + ((ux - PATIENT_CENTER[1] - shift) / PATIENT_SEMI[1]) ** 2 <= 1.0
+            np.add(chunk, PATIENT_DELTA, out=chunk, where=mask)
     else:
-        mask = ((uy - PATIENT_CENTER[0]) / PATIENT_SEMI[0]) ** 2 + (
-            (ux - PATIENT_CENTER[1]) / PATIENT_SEMI[1]
-        ) ** 2 <= 1.0
-        canvas[:, mask] += PATIENT_DELTA
+        base[ry + ((ux - PATIENT_CENTER[1]) / PATIENT_SEMI[1]) ** 2 <= 1.0] += PATIENT_DELTA
+    canvas += base
 
     base_radius = max(h, w) * 0.055 * agent_scale
     for c in cols:
@@ -367,12 +384,10 @@ def render_clip(
         for y, x, scale, present in tracks:
             stamp = _stamp(base_radius * scale, warmth)
             ys, xs = _to_px(y, x, h, w)
-            if present is not None:
-                ys = [yi if p else None for yi, p in zip(ys, present)]
-            _add_stamps(canvas, stamp, ys, xs)
+            shown = np.arange(t_total) if present is None else np.flatnonzero(present)
+            _add_stamps(canvas, stamp, shown, ys[shown], xs[shown])
 
-    canvas += noise
-    frames = np.clip(canvas, 0, MAX_VALUE).astype(np.uint16)
+    frames = np.clip(canvas, 0, MAX_VALUE, out=canvas).astype(np.uint16)
     return tvf.VideoClip(frames=frames, fps=FPS)
 
 
@@ -402,11 +417,24 @@ def write_corpus(
 
     Returns the manifest path. Render seeds come from the plan entries
     unless ``seed`` is given, in which case they are re-derived from it.
+    A failure removes the files written so far, and ``directory`` if this
+    call created it.
     """
     directory = Path(directory)
+    created = not directory.exists()
     directory.mkdir(parents=True, exist_ok=True)
-    for entry in plan.entries:
-        render_seed = entry.seed if seed is None else stable_seed(seed, entry.video_id)
-        clip = render_clip(entry, geometry=geometry, seed=render_seed, agent_scale=agent_scale)
-        tvf.write_clip(tvf.clip_path(directory, entry.video_id), clip)
-    return write_manifest(plan, directory)
+    written = []
+    try:
+        for entry in plan.entries:
+            render_seed = entry.seed if seed is None else stable_seed(seed, entry.video_id)
+            clip = render_clip(entry, geometry=geometry, seed=render_seed, agent_scale=agent_scale)
+            written.append(tvf.clip_path(directory, entry.video_id))
+            tvf.write_clip(written[-1], clip)
+        written.append(directory / MANIFEST_NAME)
+        return write_manifest(plan, directory)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if created:
+            directory.rmdir()
+        raise

@@ -43,7 +43,8 @@ def write_clip(path, clip: VideoClip):
     header = _HEADER.pack(MAGIC, t, h, w, clip.fps, DTYPE_U16, b"\x00\x00\x00")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(clip.frames, dtype="<u2").tobytes())
+        # the array's own buffer when it is already contiguous little-endian
+        fh.write(np.ascontiguousarray(clip.frames, dtype="<u2").data)
 
 
 def read_header(path):

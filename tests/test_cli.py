@@ -40,6 +40,42 @@ class TestSynth:
         assert not out.exists()
         assert not recwarn.list
 
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 29.1 TiB", "error: out of memory: Unable to allocate 29.1 TiB\n"),
+            ("", "error: out of memory\n"),
+        ],
+    )
+    def test_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch, message, line):
+        # a huge --geometry makes numpy raise MemoryError on the first clip;
+        # the render is stubbed so no real allocation is attempted
+        def fail(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr(datagen, "render_clip", fail)
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", out, "--geometry", "100000x100000", "--smoke") == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
+    def test_failure_removes_written_clips(self, tmp_path, monkeypatch):
+        render = datagen.render_clip
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("third clip")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "render_clip", fail_third)
+        out = tmp_path / "existing"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        assert run_cli("synth", "--out", out, "--geometry", "4x2", "--smoke") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
 
 @pytest.fixture(scope="module")
 def labels_only_corpus(tmp_path_factory):

@@ -153,6 +153,124 @@ class TestRenderClip:
             assert clip.frames[:, mask].mean() > clip.frames[:, ~mask].mean()
 
 
+def _oracle_add_stamps(canvas, stamp, ys, xs):
+    """Frame-by-frame stamp adds; a ``None`` center skips its frame."""
+    t_total, h, w = canvas.shape
+    half = stamp.shape[0] // 2
+    for t in range(t_total):
+        cy, cx = ys[t], xs[t]
+        if cy is None:
+            continue
+        y0, y1 = cy - half, cy + half + 1
+        x0, x1 = cx - half, cx + half + 1
+        sy0, sx0 = max(0, -y0), max(0, -x0)
+        sy1 = stamp.shape[0] - max(0, y1 - h)
+        sx1 = stamp.shape[1] - max(0, x1 - w)
+        if sy0 >= sy1 or sx0 >= sx1:
+            continue
+        canvas[t, max(0, y0) : min(h, y1), max(0, x0) : min(w, x1)] += stamp[sy0:sy1, sx0:sx1]
+
+
+def _oracle_render(entry, geometry, agent_scale):
+    """The renderer as a full background canvas, a patient mask per frame,
+    a stamp add per frame and the noise added last."""
+    h, w = geometry
+    t_total = entry.frame_count
+    noise_rng = np.random.default_rng(entry.seed)
+    noise = noise_rng.integers(
+        -datagen.NOISE_DELTA, datagen.NOISE_DELTA + 1, size=(t_total, h, w), dtype=np.int32
+    )
+    phase_rng = np.random.default_rng(datagen.stable_seed(entry.seed, "phases"))
+    canvas = np.full((t_total, h, w), datagen.BACKGROUND_LEVEL, dtype=np.int32)
+    cols = entry.label_columns
+    retained = datagen.RETAINED_COLUMNS
+    moving = any(
+        c in retained and datagen.MOTION_PATTERNS[retained.index(c)].kind == "patient-roll"
+        for c in cols
+    )
+    yy, xx = np.mgrid[0:h, 0:w]
+    uy, ux = yy / (h - 1), xx / (w - 1)
+    (cy, cx), (ry, rx) = datagen.PATIENT_CENTER, datagen.PATIENT_SEMI
+    _, dx = datagen._patient_offsets(moving, t_total, phase_rng)
+    if moving:
+        for t in range(t_total):
+            mask = ((uy - cy) / ry) ** 2 + ((ux - cx - dx[t]) / rx) ** 2 <= 1.0
+            canvas[t][mask] += datagen.PATIENT_DELTA
+    else:
+        mask = ((uy - cy) / ry) ** 2 + ((ux - cx) / rx) ** 2 <= 1.0
+        canvas[:, mask] += datagen.PATIENT_DELTA
+    base_radius = max(h, w) * 0.055 * agent_scale
+    for c in cols:
+        if c in retained:
+            pattern = datagen.MOTION_PATTERNS[retained.index(c)]
+            tracks = datagen._agent_tracks(pattern, t_total, phase_rng)
+            warmth = pattern.warmth
+        elif c < datagen.N_OBSERVED:
+            tracks = datagen._wanderer_track(c, t_total, phase_rng)
+            warmth = datagen.AGENT_DELTA
+        else:
+            continue
+        for y, x, scale, present in tracks:
+            stamp = datagen._stamp(base_radius * scale, warmth)
+            ys, xs = datagen._to_px(y, x, h, w)
+            if present is not None:
+                ys = [yi if p else None for yi, p in zip(ys, present)]
+            _oracle_add_stamps(canvas, stamp, ys, xs)
+    canvas += noise
+    return np.clip(canvas, 0, datagen.MAX_VALUE).astype(np.uint16)
+
+
+ORACLE_COLUMNS = (
+    [[c] for c in datagen.RETAINED_COLUMNS]  # the 8 motion patterns
+    + [[0, 7], [1, 12], [9, 13]]  # paired clips, one with the rolling patient
+    + [[2], [3, 10], [20], []]  # wanderers, an unplotted column, unlabelled
+)
+
+
+class TestRenderOracle:
+    """render_clip draws in place with grouped adds; the bytes must equal
+    the frame-by-frame oracle's, computed in this process."""
+
+    @pytest.mark.parametrize("columns", ORACLE_COLUMNS, ids=str)
+    def test_default_geometry(self, columns):
+        entry = make_entry(columns, frame_count=150, seed=len(columns) * 31 + sum(columns))
+        got = datagen.render_clip(entry, datagen.DEFAULT_GEOMETRY)
+        want = _oracle_render(entry, datagen.DEFAULT_GEOMETRY, 1.0)
+        assert got.frames.dtype == np.uint16
+        assert got.frames.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("geometry", [(2, 2), (2, 200), (12, 16), (24, 32)], ids=str)
+    @pytest.mark.parametrize("columns", ORACLE_COLUMNS, ids=str)
+    def test_overhanging_stamps(self, columns, geometry):
+        # at the smoke scale a stamp is wider than a 2-pixel axis
+        entry = make_entry(columns, frame_count=60, seed=7 + sum(columns))
+        got = datagen.render_clip(entry, geometry, agent_scale=datagen.SMOKE_AGENT_SCALE)
+        want = _oracle_render(entry, geometry, datagen.SMOKE_AGENT_SCALE)
+        assert got.frames.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frame_count", [0, 1, 2])
+    @pytest.mark.parametrize("columns", ORACLE_COLUMNS, ids=str)
+    def test_tiny_clips(self, columns, frame_count):
+        # a 1-frame clip has no frame inside brief-visit's presence window
+        entry = make_entry(columns, frame_count=frame_count)
+        got = datagen.render_clip(entry, (12, 16))
+        assert got.frames.shape == (frame_count, 12, 16)
+        assert got.frames.tobytes() == _oracle_render(entry, (12, 16), 1.0).tobytes()
+
+    def test_frames_share_centers(self):
+        # a slow pattern revisits centers across distant frames, so groups
+        # hold many frames that are not adjacent
+        entry = make_entry([0], frame_count=400)
+        h, w = datagen.DEFAULT_GEOMETRY
+        y, x, _, _ = datagen._agent_tracks(
+            datagen.MOTION_PATTERNS[0], 400, np.random.default_rng(datagen.stable_seed(99, "phases"))
+        )[0]
+        ys, xs = datagen._to_px(y, x, h, w)
+        assert len(set(zip(ys.tolist(), xs.tolist()))) < 400 // 10
+        got = datagen.render_clip(entry, datagen.DEFAULT_GEOMETRY)
+        assert got.frames.tobytes() == _oracle_render(entry, datagen.DEFAULT_GEOMETRY, 1.0).tobytes()
+
+
 class TestWriteCorpus:
     def test_smoke_round_trip(self, tmp_path):
         plan = datagen.plan_smoke(3)
@@ -191,6 +309,24 @@ class TestTvf:
         tvf.write_clip(path, tvf.VideoClip(frames=frames))
         got = tvf.read_frames(path, [1, 4, 9])
         np.testing.assert_array_equal(got, frames[[1, 4, 9]])
+
+    def test_non_contiguous_frames(self, tmp_path):
+        frames = np.arange(5 * 6 * 8, dtype=np.uint16).reshape(5, 6, 8)
+        view = frames[:, ::2]
+        assert not view.flags.c_contiguous
+        path = tmp_path / "v.tvf"
+        tvf.write_clip(path, tvf.VideoClip(frames=view))
+        assert path.stat().st_size == tvf._HEADER.size + 5 * 3 * 8 * 2
+        assert tvf.read_header(path) == (5, 3, 8, 6)
+        np.testing.assert_array_equal(tvf.read_frames(path, range(5)), view)
+
+    def test_contiguous_frames_size(self, tmp_path):
+        frames = np.full((4, 3, 2), 0x1234, dtype=np.uint16)
+        path = tmp_path / "c.tvf"
+        tvf.write_clip(path, tvf.VideoClip(frames=frames))
+        data = path.read_bytes()
+        assert len(data) == tvf._HEADER.size + 4 * 3 * 2 * 2
+        assert data[tvf._HEADER.size :] == b"\x34\x12" * 24  # little-endian samples
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "z.tvf"

@@ -2,8 +2,10 @@
 # Runs the README smoke pipeline from the source checkout SRC in the new work
 # directory OUT and prints the sha256 of every deterministic output:
 # report.json and each run's predictions.json, config.txt, digest.txt and
-# fold<k>.ckpt. Two checkouts that print the same lines produce the same
-# smoke outputs byte for byte. JOBS (default 1) is passed to `train --jobs`.
+# fold<k>.ckpt, then one line for the smoke corpus: the sha256 of its
+# labels.csv followed by every .tvf clip in name order. Two checkouts that
+# print the same lines produce the same smoke outputs byte for byte. JOBS
+# (default 1) is passed to `train --jobs`.
 #
 #   tools/smoke_sha256.sh SRC OUT [JOBS]
 #
@@ -43,3 +45,4 @@ nascore eval --runs "$@" --out "$out/report.json"
 
 cd "$out"
 sha256sum report.json run_*/predictions.json run_*/config.txt run_*/digest.txt run_*/fold*.ckpt
+cat corpus/labels.csv corpus/*.tvf | sha256sum | sed 's/ -$/ corpus/'
