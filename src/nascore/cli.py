@@ -88,8 +88,10 @@ def read_utf8(path):
         raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_config_file(path):
-    """key = value lines; # starts a comment."""
+def read_config_file(path, fixed=None):
+    """key = value lines; # starts a comment. A key of ``fixed``, a setting
+    the command line gives, may appear only with the value given there."""
+    fixed = fixed or {}
     train_overrides = {}
     model_overrides = {}
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
@@ -109,15 +111,22 @@ def read_config_file(path):
             overrides[key] = _PARSERS[kind](raw)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key} ({kind})")
+        if key in fixed and overrides[key] != fixed[key]:
+            raise CliError(
+                f"{path}:{lineno}: {key} = {raw} disagrees with the command line, "
+                f"which gives {key} = {fixed[key]}"
+            )
     return train_overrides, model_overrides
 
 
 def cmd_train(args):
-    train_overrides, model_overrides = read_config_file(args.config) if args.config else ({}, {})
-    train_overrides["variant"] = MODEL_NAMES[args.model]
-    train_overrides["method"] = args.method
+    flags = {"variant": MODEL_NAMES[args.model], "method": args.method}
     if args.seed is not None:
-        train_overrides["seed"] = args.seed
+        flags["seed"] = args.seed
+    train_overrides, model_overrides = (
+        read_config_file(args.config, fixed=flags) if args.config else ({}, {})
+    )
+    train_overrides.update(flags)
     config = replace(training.TrainConfig(), **train_overrides)
     run = training.run_experiment(
         args.manifest, config, jobs=args.jobs, model_overrides=model_overrides, run_dir=args.out

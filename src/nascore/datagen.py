@@ -417,6 +417,7 @@ def write_corpus(
 
     Returns the manifest path. Render seeds come from the plan entries
     unless ``seed`` is given, in which case they are re-derived from it.
+    Each clip is freed once written, so at most one is in memory.
     A failure removes the files written so far, and ``directory`` if this
     call created it.
     """
@@ -430,6 +431,7 @@ def write_corpus(
             clip = render_clip(entry, geometry=geometry, seed=render_seed, agent_scale=agent_scale)
             written.append(tvf.clip_path(directory, entry.video_id))
             tvf.write_clip(written[-1], clip)
+            del clip  # so the next clip renders with no other clip alive
         written.append(directory / MANIFEST_NAME)
         return write_manifest(plan, directory)
     except BaseException:

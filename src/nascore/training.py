@@ -14,7 +14,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -35,6 +35,8 @@ class RunFileError(ValueError):
 
 
 METHODS = ("indirect", "direct")
+# the one head each method's loss can train
+METHOD_HEADS = {"indirect": models.CLASSIFY_HEAD, "direct": "regress-1"}
 
 
 @dataclass(frozen=True)
@@ -135,36 +137,108 @@ def loss_direct(pred, targets):
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's step count and moments for one set of parameters.
+
+    ``m`` and ``v`` are flat vectors over the parameters in ``layout``
+    order, the ``(name, shape)`` pairs that the first ``adam_step`` records
+    and every later one checks.
+    """
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
+    layout: tuple = ()
+
+
+def _layout_mismatch(expected, got):
+    """Names the first parameter where layout ``got`` parts from ``expected``."""
+    for (want, want_shape), (name, shape) in zip(expected, got):
+        if name != want:
+            return f"parameter {name!r} where the Adam state has {want!r}"
+        if shape != want_shape:
+            return f"parameter {name!r} has shape {shape}, the Adam state {want_shape}"
+    if len(got) < len(expected):
+        return f"parameter {expected[len(got)][0]!r} of the Adam state is missing"
+    return f"parameter {got[len(expected)][0]!r} is not in the Adam state"
+
+
+def _first_non_finite(layout, parts):
+    return next(name for (name, _), part in zip(layout, parts) if not ad.all_finite(part))
 
 
 def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; returns fresh parameter tensors."""
-    state.t += 1
-    t = state.t
-    new_params = {}
-    for name, p in params.items():
+    """One bias-corrected Adam update of all parameters as one flat vector.
+
+    The gradients are concatenated in parameter order, a missing one as
+    zeros, and checked once; a non-finite one raises NonFiniteGradError
+    naming its parameter. The moments in ``state`` are updated in place.
+    Every expression is elementwise and keeps the operand order of a
+    per-parameter update, so each value is bit-identical to one. Returns
+    fresh parameter tensors, contiguous views of one new vector, which is
+    checked once and raises ``autodiff.NonFiniteError`` naming the first
+    parameter it cannot hold. The first call records the parameters'
+    names and shapes in ``state``; a later call with other parameters, or
+    a gradient of another shape than its parameter, raises ValueError
+    naming it.
+    """
+    layout = tuple((name, p.shape) for name, p in params.items())
+    if state.m is None:
+        size = sum(p.data.size for p in params.values())
+        state.m, state.v, state.layout = np.zeros(size), np.zeros(size), layout
+    elif layout != state.layout:
+        raise ValueError(f"adam_step: {_layout_mismatch(state.layout, layout)}")
+    parts = []
+    for name, shape in layout:
         g = grads.get(name)
         if g is None:
-            g = np.zeros(p.shape)
-        elif not ad.all_finite(g):
-            raise NonFiniteGradError(f"non-finite gradient for parameter {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros(p.shape)
-            v = np.zeros(p.shape)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = ad.tensor(
-            p.data - lr * m_hat / (np.sqrt(v_hat) + eps), requires_grad=True
-        )
+            g = np.zeros(shape)
+        elif g.shape != shape:
+            raise ValueError(
+                f"adam_step: gradient for parameter {name!r} has shape {g.shape}, "
+                f"the parameter {shape}"
+            )
+        parts.append(g.ravel())
+    g = np.concatenate(parts)
+    if not ad.all_finite(g):
+        name = _first_non_finite(layout, parts)
+        raise NonFiniteGradError(f"non-finite gradient for parameter {name!r}")
+
+    state.t += 1
+    t = state.t
+    m, v = state.m, state.v
+    # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g) and
+    # p - (lr*m_hat)/(sqrt(v_hat)+eps), each operation in that order, in
+    # place and in two buffers: g turns into lr*m_hat, and ``flat`` holds
+    # g*g, then sqrt(v_hat)+eps, then the new parameter vector.
+    # Overflow leaves a non-finite value, which the check below raises on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = g * g
+        flat *= 1.0 - beta2
+        v *= beta2
+        v += flat
+        g *= 1.0 - beta1
+        m *= beta1
+        m += g
+        np.divide(m, 1.0 - beta1**t, out=g)
+        g *= lr
+        np.divide(v, 1.0 - beta2**t, out=flat)
+        np.sqrt(flat, out=flat)
+        flat += eps
+        g /= flat
+        np.concatenate([p.data.ravel() for p in params.values()], out=flat)
+        flat -= g
+
+    views, at = [], 0
+    for p in params.values():
+        views.append(flat[at : at + p.data.size].reshape(p.shape))
+        at += p.data.size
+    if not ad.all_finite(flat):
+        name = _first_non_finite(layout, views)
+        raise ad.NonFiniteError(f"non-finite values in updated parameter {name!r}")
+    new_params = {
+        name: ad.Tensor(view, requires_grad=True, _checked=True)
+        for (name, _), view in zip(layout, views)
+    }
     return new_params, state
 
 
@@ -197,13 +271,14 @@ def _batch_tensor(clips, ids):
     return ad.tensor(stack)
 
 
-def train_fold(split: FoldSplit, entry_map, model_config, config: TrainConfig):
+def train_fold(split: FoldSplit, entry_map, clips, model_config, config: TrainConfig):
     """Trains one fold's fresh model; returns ``(fold dict, trained Model)``.
 
-    The fold dict holds the fold index, the per-epoch mean loss and one
-    prediction per held-out video: its id, true class, and logits or score.
+    ``clips`` maps each video id of the split to its sampled frames, as
+    ``load_sampled_clips`` returns them. The fold dict holds the fold index,
+    the per-epoch mean loss and one prediction per held-out video: its id,
+    true class, and logits or score.
     """
-    clips = load_sampled_clips([entry_map[i] for i in split.train_ids + split.val_ids])
     model = models.build_model(model_config)
     state = AdamState()
     shuffle_rng = np.random.default_rng(stable_seed(config.seed, split.fold_index, "shuffle"))
@@ -343,8 +418,7 @@ def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:
     activity class, the direct method the single-score regression head.
     """
     _, h, w, _ = tvf.read_header(entries[0].clip_path)
-    head = models.CLASSIFY_HEAD if config.method == "indirect" else "regress-1"
-    return models.default_config(config.variant, head, (h, w))
+    return models.default_config(config.variant, METHOD_HEADS[config.method], (h, w))
 
 
 def corpus_digest(manifest_path) -> str:
@@ -368,11 +442,14 @@ def run_experiment(
     """Trains all folds of one (model, method) run and writes its run directory.
 
     The model is ``default_model_config`` with ``model_overrides`` applied,
-    validated before any clip is read. The folds run through one ``map``:
+    validated before any clip is read; its head must be the method's
+    (``METHOD_HEADS``). Every clip is then read once, and the frame sizes
+    checked, before any fold trains. The folds run through one ``map``:
     in this process when ``jobs`` is 1, else in ``min(jobs, folds)`` worker
-    processes. Results come back in fold-index order whatever the worker
-    scheduling, and every randomness source derives from config.seed, so
-    reruns are byte-identical. ``run_dir`` is created and written only once
+    processes, each fold's task carrying the clips pickled. Results come
+    back in fold-index order whatever the worker scheduling, and every
+    randomness source derives from config.seed, so reruns are
+    byte-identical. ``run_dir`` is created and written only once
     every fold has trained, and its files take their names only once all
     are written, so a run that fails leaves nothing behind.
     """
@@ -380,13 +457,19 @@ def run_experiment(
     entries = dataset.load_prepared_manifest(manifest_path)
     model_config = replace(default_model_config(config, entries), **(model_overrides or {}))
     model_config.validate()
+    if model_config.head != METHOD_HEADS[config.method]:
+        raise models.ConfigError(
+            f"head {model_config.head!r} does not fit the {config.method} method, "
+            f"which trains {METHOD_HEADS[config.method]!r}"
+        )
+    clips = load_sampled_clips(entries)
     entry_map = {e.video_id: e for e in entries}
     splits = stratified_kfold(entries, config.folds, config.seed)
     fold_configs = [
         replace(model_config, seed=stable_seed(config.seed, split.fold_index, "init"))
         for split in splits
     ]
-    tasks = (splits, repeat(entry_map), fold_configs, repeat(config))
+    tasks = (splits, repeat(entry_map), repeat(clips), fold_configs, repeat(config))
     if jobs == 1:
         results = list(map(train_fold, *tasks))
     else:

@@ -403,6 +403,55 @@ class TestTrain:
         assert train == {"epochs": 4, "learning_rate": 0.5}
         assert model == {"head": "regress-1", "embed_dims": (4, 8)}
 
+    @pytest.mark.parametrize("flags, line, flag", [
+        (["--method", "indirect"], "method = direct", "method = indirect"),
+        (["--method", "direct"], "variant = micro-r2plus1d", "variant = mini-mvit"),
+        (["--method", "direct", "--seed", "5"], "seed = 3", "seed = 5"),
+    ])
+    def test_config_key_disagreeing_with_flag_is_one_line_error(
+        self, mini_pipeline, tmp_path, capsys, flags, line, flag
+    ):
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\n{line}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "mvit", *flags,
+                       "--config", config, "--out", out)
+        assert code == 1
+        expected = f"error: {config}:2: {line} disagrees with the command line, which gives {flag}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_config_key_agreeing_with_flag_is_accepted(self, tmp_path):
+        config = tmp_path / "train.cfg"
+        config.write_text("method = direct\nvariant = mini-mvit\n")
+        fixed = {"method": "direct", "variant": "mini-mvit"}
+        train, _ = cli.read_config_file(config, fixed=fixed)
+        assert train == fixed
+
+    @pytest.mark.parametrize("model, method, head, needed", [
+        ("cnnrnn", "indirect", "regress-1", "classify-8"),
+        ("mvit", "direct", "classify-8", "regress-1"),
+    ])
+    def test_head_not_fitting_method_fails_before_reading_clips(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch, model, method, head, needed
+    ):
+        _, prepared, _ = mini_pipeline
+
+        def no_read(*args):
+            raise AssertionError("a clip was read")
+
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\nhead = {head}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", model,
+                       "--method", method, "--config", config, "--out", out)
+        assert code == 1
+        expected = f"error: head {head!r} does not fit the {method} method, which trains {needed!r}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_unknown_model_is_usage_error(self, mini_pipeline, tmp_path):
         root, prepared, config = mini_pipeline
         with pytest.raises(SystemExit) as exc:

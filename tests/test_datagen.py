@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,24 @@ class TestWriteCorpus:
             pa = tvf.clip_path(tmp_path / "a", e.video_id).read_bytes()
             pb = tvf.clip_path(tmp_path / "b", e.video_id).read_bytes()
             assert pa == pb
+
+    def test_previous_clip_is_freed_before_the_next_renders(self, tmp_path, monkeypatch):
+        render = datagen.render_clip
+        alive_at_render = []
+        clips = []
+
+        def tracked(*args, **kwargs):
+            alive_at_render.append(sum(ref() is not None for ref in clips))
+            clip = render(*args, **kwargs)
+            clips.append(weakref.ref(clip))
+            return clip
+
+        monkeypatch.setattr(datagen, "render_clip", tracked)
+        plan = datagen.plan_smoke(3)
+        datagen.write_corpus(datagen.CorpusPlan(plan.entries[:3], plan.seed), tmp_path,
+                             geometry=GEOM)
+        assert alive_at_render == [0, 0, 0]
+        assert all(ref() is None for ref in clips)
 
 
 class TestTvf:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nascore import autodiff as ad
-from nascore import datagen, dataset, models, training
+from nascore import datagen, dataset, models, training, tvf
 from test_models import checkpoint_parts, expected_checkpoint_parts
 
 
@@ -116,9 +116,98 @@ class TestLosses:
         assert abs(whole - parts) < 1e-9
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam update that training.adam_step fuses; ``state``
+    is a dict holding ``t`` and per-name moments ``m`` and ``v``."""
+    state["t"] += 1
+    t = state["t"]
+    new_params = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros(p.shape)
+        elif not ad.all_finite(g):
+            raise training.NonFiniteGradError(f"non-finite gradient for parameter {name!r}")
+        m = state["m"].get(name, np.zeros(p.shape))
+        v = state["v"].get(name, np.zeros(p.shape))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state["m"][name] = m
+        state["v"][name] = v
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_params[name] = ad.tensor(
+            p.data - lr * m_hat / (np.sqrt(v_hat) + eps), requires_grad=True
+        )
+    return new_params, state
+
+
 class TestAdam:
     def params_of(self, value):
         return {"w": ad.tensor(np.full(3, value), requires_grad=True)}
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_fused_update_is_bit_identical_to_per_parameter(self, variant):
+        model = models.build_model(models.default_config(variant, "classify-8", (24, 32)))
+        rng = np.random.default_rng(5)
+        missing = list(model.params)[len(model.params) // 2]
+        fused, fused_state = model.params, training.AdamState()
+        ref, ref_state = model.params, {"t": 0, "m": {}, "v": {}}
+        for step in range(3):
+            grads = {
+                name: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                for name, p in model.params.items()
+                if name != missing
+            }
+            fused, fused_state = training.adam_step(
+                fused, grads, fused_state, 1e-3, 0.8, 0.99, 1e-7
+            )
+            ref, ref_state = reference_adam_step(ref, grads, ref_state, 1e-3, 0.8, 0.99, 1e-7)
+            assert list(fused) == list(ref) == list(model.params)
+            for name in ref:
+                assert fused[name].shape == ref[name].shape, (step, name)
+                assert fused[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+                assert fused[name].requires_grad
+        assert fused_state.t == 3
+        assert fused[missing].data.tobytes() == model.params[missing].data.tobytes()
+
+    def test_gradient_of_wrong_shape_names_parameter(self):
+        params = {**self.params_of(1.0), "b": ad.tensor(np.zeros((2, 1)), requires_grad=True)}
+        # numpy would broadcast (2,) against (2, 1) without a word
+        grads = {"w": np.ones(3), "b": np.ones(2)}
+        with pytest.raises(ValueError, match=r"'b' has shape \(2,\)"):
+            training.adam_step(params, grads, training.AdamState(), 0.1)
+
+    def test_changed_layout_names_parameter(self):
+        state = training.AdamState()
+        params = {
+            "a": ad.tensor(np.ones(2), requires_grad=True),
+            "b": ad.tensor(np.ones(3), requires_grad=True),
+        }
+        params, state = training.adam_step(params, {}, state, 0.1)
+        other = {
+            "a": params["a"],
+            "b": ad.tensor(np.ones(4), requires_grad=True),
+        }
+        with pytest.raises(ValueError, match=r"'b' has shape \(4,\)"):
+            training.adam_step(other, {}, state, 0.1)
+        with pytest.raises(ValueError, match="'c' where the Adam state has 'b'"):
+            training.adam_step({"a": params["a"], "c": params["b"]}, {}, state, 0.1)
+        with pytest.raises(ValueError, match="'b' of the Adam state is missing"):
+            training.adam_step({"a": params["a"]}, {}, state, 0.1)
+        with pytest.raises(ValueError, match="'c' is not in the Adam state"):
+            training.adam_step({**params, "c": params["b"]}, {}, state, 0.1)
+        assert state.t == 1
+
+    def test_non_finite_update_raises(self):
+        params = {
+            "a": ad.tensor(np.zeros(2), requires_grad=True),
+            "w": ad.tensor(np.full(3, 1e308), requires_grad=True),
+        }
+        grads = {"a": np.ones(2), "w": np.full(3, -1.0)}
+        # the step is about 1e308 and moves w past the largest float
+        with pytest.raises(ad.NonFiniteError, match="updated parameter 'w'"):
+            training.adam_step(params, grads, training.AdamState(), 1e308)
 
     def test_first_step_magnitude(self):
         lr = 0.01
@@ -202,7 +291,8 @@ class TestTrainFold:
         entry_map = {e.video_id: e for e in entries}
         splits = training.stratified_kfold(entries, 2, seed=0)
         record, model = training.train_fold(
-            splits[0], entry_map, tiny_model_config("classify-8"),
+            splits[0], entry_map, training.load_sampled_clips(entries),
+            tiny_model_config("classify-8"),
             tiny_train_config(epochs=0),
         )
         assert record["fold_index"] == 0
@@ -215,7 +305,8 @@ class TestTrainFold:
         entry_map = {e.video_id: e for e in entries}
         splits = training.stratified_kfold(entries, 2, seed=0)
         record, _ = training.train_fold(
-            splits[0], entry_map, tiny_model_config("classify-8"),
+            splits[0], entry_map, training.load_sampled_clips(entries),
+            tiny_model_config("classify-8"),
             tiny_train_config(epochs=3),
         )
         assert len(record["loss_history"]) == 3
@@ -275,6 +366,21 @@ class TestRunExperiment:
         run = training.run_experiment(tiny_corpus, config, jobs=8, model_overrides=TINY_OVERRIDES)
         assert asked == [2]
         assert [f["fold_index"] for f in run.folds] == [0, 1]
+
+    def test_each_clip_is_read_once(self, tiny_corpus, monkeypatch):
+        read = tvf.read_frames
+        paths = []
+
+        def counted(path, indices):
+            paths.append(Path(path).name)
+            return read(path, indices)
+
+        monkeypatch.setattr(tvf, "read_frames", counted)
+        training.run_experiment(
+            tiny_corpus, tiny_train_config(epochs=1), model_overrides=TINY_OVERRIDES
+        )
+        entries = dataset.load_prepared_manifest(tiny_corpus)
+        assert sorted(paths) == sorted(e.clip_path.name for e in entries)
 
     def test_default_model_config_follows_method_and_first_clip(self, tiny_corpus):
         entries = dataset.load_prepared_manifest(tiny_corpus)
