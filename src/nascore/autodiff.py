@@ -102,10 +102,6 @@ def tensor(data, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
-def zeros(shape):
-    return Tensor(np.zeros(shape), _checked=True)
-
-
 def all_finite(arr):
     """True when no value of ``arr`` is NaN or +-inf."""
     # a single-pass reduction is cheaper than isfinite().all(); NaN and
@@ -215,9 +211,9 @@ def _row_mean(c):
 class _Linear:
     """A dense layer, x @ w + b, for x (..., C), w (C, O) and b (O,).
 
-    The vjp flattens x's leading axes into rows, so the weight gradient is
-    one GEMM and the bias gradient one GEMV, ones @ rows; it skips the
-    input gradient when x needs none (a clip's patch rows)."""
+    Both passes flatten x's leading axes into rows, so the forward and the
+    weight gradient are one GEMM each and the bias gradient one GEMV,
+    ones @ rows; the vjp skips the input gradient when x needs none."""
 
     @staticmethod
     def forward(xs, attrs):
@@ -226,9 +222,9 @@ class _Linear:
             raise ShapeMismatch("linear", "(..., C) input and (C, O) weight", f"{x.shape}, {w.shape}")
         if b.shape != w.shape[1:]:
             raise ShapeMismatch("linear", f"bias of shape {w.shape[1:]}", f"{b.shape}")
-        out = x @ w
+        out = _rows(x) @ w
         out += b
-        return out
+        return out.reshape(*x.shape[:-1], w.shape[1])
 
     @staticmethod
     def vjp(g, xs, out, attrs):
@@ -272,27 +268,6 @@ class _Permute:
         return (np.transpose(g, inverse),)
 
 
-@_register("concat")
-class _Concat:
-    @staticmethod
-    def forward(xs, attrs):
-        axis = attrs["axis"]
-        ref = xs[0].shape
-        for x in xs[1:]:
-            if len(x.shape) != len(ref) or any(
-                x.shape[i] != ref[i] for i in range(len(ref)) if i != axis
-            ):
-                raise ShapeMismatch("concat", f"match {ref} off axis {axis}", f"{x.shape}")
-        return np.concatenate(xs, axis=axis)
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        axis = attrs["axis"]
-        splits = np.cumsum([x.shape[axis] for x in xs[:-1]])
-        parts = np.split(g, splits, axis=axis)
-        return tuple(np.ascontiguousarray(p) if n else None for p, n in zip(parts, attrs["needs"]))
-
-
 @_register("relu")
 class _Relu:
     @staticmethod
@@ -310,10 +285,10 @@ class _LayerNorm:
     """Normalizes x's last axis (width C) to zero mean and unit variance,
     then scales by g and shifts by b, both (C,).
 
-    The residual is the normalized input xhat and the per-row
-    1/sqrt(var + eps). Every reduction is a BLAS product: the row means of
-    the forward and the vjp are x @ (1/C column), the gain and shift
-    gradients ones @ rows.
+    Both passes flatten x's leading axes into rows, so every reduction is
+    one BLAS product: the row means of the forward and the vjp are
+    rows @ (1/C column), the gain and shift gradients ones @ rows. The
+    residual is the normalized rows xhat and the per-row 1/sqrt(var + eps).
     """
 
     @staticmethod
@@ -325,32 +300,33 @@ class _LayerNorm:
                 f"{x.shape}, {gain.shape}, {shift.shape}",
             )
         eps = attrs.get("epsilon", 1e-5)
+        rows = _rows(x)
         avg = _row_mean(x.shape[-1])
-        xc = x - x @ avg
+        xc = rows - rows @ avg
         sd = np.sqrt((xc * xc) @ avg + eps)
         xc /= sd
         out = xc * gain
         out += shift
-        return out, (xc, 1.0 / sd)
+        return out.reshape(x.shape), (xc, 1.0 / sd)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
         (_, gain, _), (_, (xhat, inv)) = xs, out
         nx, ngain, nshift = attrs["needs"]
+        rows = _rows(g)
         gx = None
         if nx:
             avg = _row_mean(g.shape[-1])
-            gh = g * gain
+            gh = rows * gain
             gm = gh @ avg
             gxm = (gh * xhat) @ avg
             gh -= gm
             gh -= xhat * gxm
-            gx = gh * inv
-        rows = _rows(g)
+            gx = (gh * inv).reshape(g.shape)
         ones = np.ones(len(rows))
         return (
             gx,
-            ones @ (rows * _rows(xhat)) if ngain else None,
+            ones @ (rows * xhat) if ngain else None,
             ones @ rows if nshift else None,
         )
 
@@ -381,8 +357,11 @@ def _query_tiles(b, heads, nq, nk):
 
 @_register("pooled_attention")
 class _PooledAttention:
-    """Multi-head attention softmax(q k^T / sqrt(d)) v of q (B, Nq, C) over
-    k, v (B, Nk, C); the heads split C into equal slices of width d.
+    """Multi-head attention softmax(q k^T / sqrt(d)) v of q (B, ..., C) over
+    k, v of one shape (B, ..., C); the heads split C into equal slices of
+    width d. The axes between B and C, a token grid's for one, are
+    flattened into Nq and Nk tokens by free views; the output and the
+    gradients take the shapes of q, k and v.
 
     Both passes walk the queries in row tiles (``_query_tiles``), so no
     (Nq, Nk) array is ever held, only one tile's weights. 1/sqrt(d) is
@@ -403,19 +382,21 @@ class _PooledAttention:
     def forward(xs, attrs):
         q, k, v = xs
         heads = attrs["heads"]
-        if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        if min(q.ndim, k.ndim, v.ndim) < 3:
             raise ShapeMismatch(
-                "pooled_attention", "rank-3 (B,N,C) q, k, v", f"{q.shape}, {k.shape}, {v.shape}"
+                "pooled_attention", "(B, ..., C) q, k, v", f"{q.shape}, {k.shape}, {v.shape}"
             )
-        b, nq, c = q.shape
-        if any(t.shape[0] != b or t.shape[2] != c for t in (k, v)):
+        b, c = q.shape[0], q.shape[-1]
+        if any(t.shape[0] != b or t.shape[-1] != c for t in (k, v)):
             raise ShapeMismatch(
                 "pooled_attention", f"batch {b} and width {c} for k, v", f"{k.shape}, {v.shape}"
             )
-        if k.shape[1] != v.shape[1]:
-            raise ShapeMismatch("pooled_attention", f"{k.shape[1]} value tokens", f"{v.shape[1]}")
+        if k.shape != v.shape:
+            raise ShapeMismatch("pooled_attention", f"v of k's shape {k.shape}", f"{v.shape}")
         if heads < 1 or c % heads != 0:
             raise ShapeMismatch("pooled_attention", f"width divisible by {heads} heads", f"{c}")
+        q, k, v = (t.reshape(b, -1, c) for t in xs)
+        nq = q.shape[1]
         # out of place: at one head, _split_heads returns a view of q
         qh = _split_heads(q, heads) * (1.0 / math.sqrt(c // heads))
         kh, vh = _split_heads(k, heads), _split_heads(v, heads)
@@ -433,14 +414,14 @@ class _PooledAttention:
             part /= total[..., None]
             ctx[:, :, rows] = part
             lse[:, :, :, rows] = m + np.log(total)[:, :, None]
-        return _merge_heads(ctx), (qh, kh, vh, lse)
+        return _merge_heads(ctx).reshape(xs[0].shape), (qh, kh, vh, lse)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
         ctx, (qh, kh, vh, lse) = out
         b, h, nq, d = qh.shape
         nq_, nk_, nv_ = attrs["needs"]
-        gc = _split_heads(g, h)
+        gc = _split_heads(g.reshape(b, nq, h * d), h)
         # softmax-vjp row term per (batch, head, query): rowsum(g * ctx)
         rowdot = ((g * ctx).reshape(-1, d) @ np.ones(d)).reshape(b, nq, h).transpose(0, 2, 1)
         rowdot = rowdot[:, :, None]
@@ -464,10 +445,9 @@ class _PooledAttention:
                 gk += gwt @ qh[:, :, rows]
         if nq_:
             gq *= 1.0 / math.sqrt(d)
-        return (
-            _merge_heads(gq) if nq_ else None,
-            _merge_heads(gk) if nk_ else None,
-            _merge_heads(gv) if nv_ else None,
+        return tuple(
+            _merge_heads(grad).reshape(x.shape) if need else None
+            for grad, x, need in zip((gq, gk, gv), xs, (nq_, nk_, nv_))
         )
 
 
@@ -925,7 +905,8 @@ GRADCHECK_SUITE = (
     ("linear", ((2, 2, 1, 3, 4), (4, 3), (3,)), None),
     ("reshape", ((2, 6),), {"shape": (3, 4)}),
     ("permute", ((2, 3, 4),), {"axes": (2, 0, 1)}),
-    ("concat", ((2, 3), (2, 2)), {"axis": 1}),
+    # mini-mvit's (B, T, H, W, C) token grid
+    ("layer_norm", ((2, 2, 3, 2, 5), (5,), (5,)), None),
     ("layer_norm", ((2, 3, 5), (5,), (5,)), None),
     ("relu", ((8,),), None),
     # one step, and backpropagation through four
@@ -951,6 +932,8 @@ GRADCHECK_SUITE = (
     ("add", ((2, 3, 4, 5), (3, 4, 5)), None),
     # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W), odd T
     ("conv2d", ((2, 2, 7, 3), (3, 2, 3, 1), (3, 1, 1, 1)), {"stride": (2, 1), "padding": (1, 0)}),
+    # grid-shaped queries over keys and values pooled to a coarser grid
+    ("pooled_attention", ((2, 2, 3, 2, 4), (2, 1, 2, 1, 4), (2, 1, 2, 1, 4)), {"heads": 2}),
 )
 
 
@@ -975,10 +958,6 @@ def reshape(a, shape):
 
 def permute(a, axes):
     return apply("permute", (a,), {"axes": tuple(axes)})
-
-
-def concat(tensors, axis):
-    return apply("concat", tuple(tensors), {"axis": axis})
 
 
 def relu(a):

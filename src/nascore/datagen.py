@@ -316,15 +316,6 @@ def _wanderer_track(column, t_total, phase_rng):
     return [(y, x, 0.8, None)]
 
 
-def _patient_offsets(moving, t_total, phase_rng):
-    if not moving:
-        return np.zeros(t_total, dtype=int), np.zeros(t_total, dtype=int)
-    t = np.arange(t_total, dtype=np.float64)
-    ph = phase_rng.uniform(0.0, 1.0)
-    dx = 0.06 * np.sin(2 * np.pi * (0.012 * t + ph))
-    return np.zeros(t_total, dtype=int), dx
-
-
 def render_clip(
     entry: PlanEntry, geometry=DEFAULT_GEOMETRY, seed=None, agent_scale=1.0
 ) -> tvf.VideoClip:
@@ -357,9 +348,10 @@ def render_clip(
     yy, xx = np.mgrid[0:h, 0:w]
     uy, ux = yy / (h - 1), xx / (w - 1)
     ry = ((uy - PATIENT_CENTER[0]) / PATIENT_SEMI[0]) ** 2
-    _, dx = _patient_offsets(moving_patient, t_total, phase_rng)
     base = np.full((h, w), BACKGROUND_LEVEL, dtype=np.int32)
     if moving_patient:
+        # the roll's horizontal offset per frame, in unit coordinates
+        dx = 0.06 * np.sin(2 * np.pi * (0.012 * np.arange(t_total) + phase_rng.uniform(0.0, 1.0)))
         step = max(1, _MASK_CHUNK // (h * w))
         for t0 in range(0, t_total, step):
             chunk = canvas[t0 : t0 + step]

@@ -1,12 +1,13 @@
 """Three micro-scale video models sharing one parameter/forward convention.
 
-mini-mvit: strided patch embedding into a token grid, then three stages of
-pooling attention; each stage transition halves the spatial grid and
-doubles the channel width. Keys and values are pooled by MViT's adaptive
-stride: ``kv_stride`` in the last stage, and ``stage_stride`` times more
-per axis in each stage before it, so every block attends to the same K/V
-grid. Each block pools its normalized input before the Q/K/V linears run,
-which averaging makes the same function as projecting, then pooling.
+mini-mvit: strided patch embedding into a (B, T, H, W, C) token grid,
+which keeps that shape to the head, then three stages of pooling
+attention; each stage transition halves the spatial grid and doubles the
+channel width. Keys and values are pooled by MViT's adaptive stride:
+``kv_stride`` in the last stage, and ``stage_stride`` times more per axis
+in each stage before it, so every block attends to the same K/V grid. Each
+block pools its normalized input before the Q/K/V linears run, which
+averaging makes the same function as projecting, then pooling.
 micro-r2plus1d: factorized blocks of 2D spatial convolution then
 temporal convolution, the latter a 3x1 conv2d over (T, H*W), so every
 pixel's frames at once. micro-cnn-rnn: a shared 2D conv encoder per frame
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,15 @@ import numpy as np
 from . import autodiff as ad
 from .dataset import ACTIVITY_TABLE
 
-VARIANTS = ("mini-mvit", "micro-r2plus1d", "micro-cnn-rnn")
+# the ModelConfig fields each variant reads, besides the COMMON_FIELDS
+VARIANT_FIELDS = {
+    "mini-mvit": ("patch_stride", "embed_dims", "blocks", "attention_heads", "kv_stride",
+                  "stage_stride", "mlp_ratio"),
+    "micro-r2plus1d": ("embed_dims",),
+    "micro-cnn-rnn": ("embed_dims", "hidden_size"),
+}
+COMMON_FIELDS = ("variant", "head", "frame_hw", "seed")
+VARIANTS = tuple(VARIANT_FIELDS)
 # the classifier scores one logit per class of the activity table
 CLASSIFY_HEAD = f"classify-{len(ACTIVITY_TABLE)}"
 HEADS = {CLASSIFY_HEAD: len(ACTIVITY_TABLE), "regress-1": 1}
@@ -103,26 +112,25 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
-        for key in ("patch_stride", "kv_stride", "stage_stride"):
-            value = getattr(self, key)
-            if len(value) != 3 or any(v < 1 for v in value):
-                raise ConfigError(f"{key} must be three positive integers, got {value}")
         if len(self.frame_hw) != 2 or min(self.frame_hw) < 1:
             raise ConfigError(f"frame_hw must be two positive integers, got {self.frame_hw}")
-        if self.attention_heads < 1:
+        if not self.embed_dims or min(self.embed_dims) < 1:
             raise ConfigError(
-                f"attention_heads must be a positive integer, got {self.attention_heads}"
+                f"embed_dims must be one or more positive widths, got {self.embed_dims}"
             )
-        if not self.embed_dims or min(self.embed_dims) < 1 or min(self.blocks, default=0) < 0:
-            raise ConfigError(
-                f"embed_dims must be one or more positive widths and blocks non-negative counts, "
-                f"got {self.embed_dims} and {self.blocks}"
-            )
-        if len(self.embed_dims) != len(self.blocks):
-            raise ConfigError("embed_dims and blocks must list the same number of stages")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.variant == "mini-mvit":
+            for key in ("patch_stride", "kv_stride", "stage_stride"):
+                value = getattr(self, key)
+                if len(value) != 3 or any(v < 1 for v in value):
+                    raise ConfigError(f"{key} must be three positive integers, got {value}")
+            if self.attention_heads < 1:
+                raise ConfigError(
+                    f"attention_heads must be a positive integer, got {self.attention_heads}"
+                )
+            if len(self.blocks) != len(self.embed_dims) or min(self.blocks, default=0) < 0:
+                raise ConfigError(f"blocks must give a count >= 0 per stage, got {self.blocks}")
             if N_FRAMES % self.patch_stride[0] != 0:
                 raise ConfigError(
                     f"temporal patch stride {self.patch_stride[0]} must divide {N_FRAMES}"
@@ -137,7 +145,7 @@ class ModelConfig:
                     raise ConfigError(f"stage dims must double, got {self.embed_dims}")
             if round(self.mlp_ratio * self.embed_dims[0]) < 1:
                 raise ConfigError(f"mlp_ratio {self.mlp_ratio} leaves stage 0 no MLP width")
-        if self.hidden_size < 1:
+        if self.variant == "micro-cnn-rnn" and self.hidden_size < 1:
             raise ConfigError("hidden_size must be positive")
 
     @property
@@ -155,6 +163,15 @@ def default_config(variant, head, frame_hw, seed=0) -> ModelConfig:
             variant, head, tuple(frame_hw), embed_dims=(8, 16), blocks=(1, 1), seed=seed
         )
     raise ConfigError(f"unknown variant {variant!r}")
+
+
+def override(config: ModelConfig, overrides) -> ModelConfig:
+    """``config`` with ``overrides`` applied; a field its variant never reads is a ConfigError."""
+    reads = COMMON_FIELDS + VARIANT_FIELDS[config.variant]
+    unread = [key for key in overrides if key not in reads]
+    if unread:
+        raise ConfigError(f"{config.variant} does not read {', '.join(unread)}")
+    return replace(config, **overrides)
 
 
 # --- initialization --------------------------------------------------------
@@ -223,21 +240,6 @@ def kv_stride_schedule(config: ModelConfig):
         tuple(k * q ** (last - s) for k, q in zip(config.kv_stride, config.stage_stride))
         for s in range(last + 1)
     ]
-
-
-@dataclass
-class TokenGrid:
-    """Flattened token tensor (B, N, C) with its 3-d grid extents."""
-
-    tokens: ad.Tensor
-    dims: tuple
-
-    def __post_init__(self):
-        n = int(np.prod(self.dims))
-        if self.tokens.shape[1] != n:
-            raise GeometryError(
-                f"token count {self.tokens.shape[1]} does not match grid {self.dims}"
-            )
 
 
 def build_model(config: ModelConfig) -> "Model":
@@ -314,18 +316,15 @@ def _affine_norm(params, name, x):
     return ad.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
-def _pool_grid(grid, stride) -> TokenGrid:
-    """Average-pools a token grid on its 3-d extents (ceil mode)."""
-    if all(s == 1 for s in stride):
-        return grid
-    b, _, c = grid.tokens.shape
-    pooled = ad.avg_pool(ad.reshape(grid.tokens, (b, *grid.dims, c)), stride)
-    dims = tuple(_ceil_div(n, s) for n, s in zip(grid.dims, stride))
-    return TokenGrid(tokens=ad.reshape(pooled, (b, int(np.prod(dims)), c)), dims=dims)
+def _pool_grid(x, stride):
+    """Average-pools a (B, T, H, W, C) token grid by ``stride`` (ceil mode)."""
+    return x if all(s == 1 for s in stride) else ad.avg_pool(x, stride)
 
 
-def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
-    """Strided linear patch embedding plus a learned positional table.
+def patchify(frames, stride, weight, bias, pos_table):
+    """Strided linear patch embedding plus a learned positional table: the
+    (B, T', H', W', C) token grid. The clip needs no gradient, so its
+    patch rows are cut in numpy, outside the graph.
 
     frames: (B, T, H, W) with T divisible by the temporal stride; spatial
     extents are zero-padded up to stride multiples (ceil-mode grid).
@@ -337,22 +336,14 @@ def patchify(frames, stride, weight, bias, pos_table) -> TokenGrid:
     if ph > h or pw > w:
         raise GeometryError(f"patch stride {stride} exceeds input extent {(t, h, w)}")
     gt, gh, gw = t // pt, _ceil_div(h, ph), _ceil_div(w, pw)
-    x = frames
-    if gh * ph != h:
-        pad = ad.zeros((b, t, gh * ph - h, w))
-        x = ad.concat([x, pad], axis=2)
-    if gw * pw != w:
-        pad = ad.zeros((b, t, gh * ph, gw * pw - w))
-        x = ad.concat([x, pad], axis=3)
-    x = ad.reshape(x, (b, gt, pt, gh, ph, gw, pw))
-    x = ad.permute(x, (0, 1, 3, 5, 2, 4, 6))
-    x = ad.reshape(x, (b, gt, gh, gw, pt * ph * pw))
-    x = ad.add(ad.linear(x, weight, bias), pos_table)
-    tokens = ad.reshape(x, (b, gt * gh * gw, weight.shape[1]))
-    return TokenGrid(tokens=tokens, dims=(gt, gh, gw))
+    padded = np.zeros((b, t, gh * ph, gw * pw))
+    padded[:, :, :h, :w] = frames.data
+    rows = padded.reshape(b, gt, pt, gh, ph, gw, pw).transpose(0, 1, 3, 5, 2, 4, 6)
+    rows = ad.tensor(rows.reshape(b, gt, gh, gw, pt * ph * pw))
+    return ad.add(ad.linear(rows, weight, bias), pos_table)
 
 
-def pooling_attention(params, prefix, grid: TokenGrid, query: TokenGrid, heads, kv_pool):
+def pooling_attention(params, prefix, grid, query, heads, kv_pool):
     """Multi-head attention of ``query``, the block input ``grid`` pooled by
     the query stride, over keys and values pooled from ``grid`` once by
     ``kv_pool`` per axis, run as one fused ``pooled_attention`` op; the
@@ -361,51 +352,46 @@ def pooling_attention(params, prefix, grid: TokenGrid, query: TokenGrid, heads, 
     The Q/K/V linears run on the pooled rows. Averaging commutes with an
     affine map, ceil-mode truncated windows included, so this is MViT's
     project-then-pool up to float summation order."""
-    kv = _pool_grid(grid, kv_pool).tokens
-    q = _dense(params, f"{prefix}.q", query.tokens)
+    kv = _pool_grid(grid, kv_pool)
+    q = _dense(params, f"{prefix}.q", query)
     k = _dense(params, f"{prefix}.k", kv)
     v = _dense(params, f"{prefix}.v", kv)
     out = ad.add(ad.pooled_attention(q, k, v, heads), q)
-    out = _dense(params, f"{prefix}.proj", out)
-    return TokenGrid(tokens=out, dims=query.dims)
+    return _dense(params, f"{prefix}.proj", out)
 
 
-def _mvit_block(params, prefix, grid, heads, kv_stride, q_stride, dim_in, dim_out):
+def _mvit_block(params, prefix, x, heads, kv_stride, q_stride, dim_in, dim_out):
     """``kv_stride`` is measured on the query grid, so keys and values are
     pooled from the input grid by q_stride * kv_stride."""
-    normed = TokenGrid(_affine_norm(params, f"{prefix}.ln1", grid.tokens), grid.dims)
+    normed = _affine_norm(params, f"{prefix}.ln1", x)
     query = _pool_grid(normed, q_stride)
     kv_pool = tuple(a * b for a, b in zip(q_stride, kv_stride))
     attn = pooling_attention(params, prefix, normed, query, heads, kv_pool)
     if dim_in == dim_out:
-        skip = _pool_grid(grid, q_stride).tokens
+        skip = _pool_grid(x, q_stride)
     else:
         # a stage transition projects its skip from the queries' pooled rows
-        skip = _dense(params, f"{prefix}.skip", query.tokens)
-    x = ad.add(skip, attn.tokens)
+        skip = _dense(params, f"{prefix}.skip", query)
+    x = ad.add(skip, attn)
     h = _affine_norm(params, f"{prefix}.ln2", x)
     m = _dense(params, f"{prefix}.mlp2", ad.relu(_dense(params, f"{prefix}.mlp1", h)))
-    return TokenGrid(tokens=ad.add(x, m), dims=attn.dims)
+    return ad.add(x, m)
 
 
 def _forward_mvit(params, x, config, capture):
-    grid = patchify(
-        x, config.patch_stride, params["patch.w"], params["patch.b"], params["pos"]
-    )
+    x = patchify(x, config.patch_stride, params["patch.w"], params["patch.b"], params["pos"])
     dim_in = config.embed_dims[0]
     stages = zip(config.blocks, config.embed_dims, kv_stride_schedule(config))
     for s, (n_blocks, dim, kv_stride) in enumerate(stages):
         for bi in range(n_blocks):
             q_stride = config.stage_stride if (s > 0 and bi == 0) else (1, 1, 1)
-            grid = _mvit_block(
-                params, f"s{s}b{bi}", grid, config.attention_heads, kv_stride, q_stride,
-                dim_in, dim,
+            x = _mvit_block(
+                params, f"s{s}b{bi}", x, config.attention_heads, kv_stride, q_stride, dim_in, dim
             )
             dim_in = dim
         if capture is not None:
-            capture.append((grid.dims, dim_in))
-    tokens = _affine_norm(params, "norm", grid.tokens)
-    pooled = ad.mean(tokens, axes=(1,))
+            capture.append((x.shape[1:4], dim_in))
+    pooled = ad.mean(_affine_norm(params, "norm", x), axes=(1, 2, 3))
     return _dense(params, "head", ad.relu(pooled))
 
 

@@ -16,7 +16,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -436,26 +435,39 @@ def write_config_echo(path, train_config, model_config):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_fold_args = None  # a fold worker's (entry_map, clips, train config)
+
+
+def _init_fold_worker(*args):
+    global _fold_args
+    _fold_args = args
+
+
+def _train_fold_in_worker(split, model_config):
+    entry_map, clips, config = _fold_args
+    return train_fold(split, entry_map, clips, model_config, config)
+
+
 def run_experiment(
     manifest_path, config: TrainConfig, jobs=1, model_overrides=None, run_dir=None
 ) -> ExperimentRun:
     """Trains all folds of one (model, method) run and writes its run directory.
 
-    The model is ``default_model_config`` with ``model_overrides`` applied,
-    validated before any clip is read; its head must be the method's
-    (``METHOD_HEADS``). Every clip is then read once, and the frame sizes
-    checked, before any fold trains. The folds run through one ``map``:
-    in this process when ``jobs`` is 1, else in ``min(jobs, folds)`` worker
-    processes, each fold's task carrying the clips pickled. Results come
-    back in fold-index order whatever the worker scheduling, and every
-    randomness source derives from config.seed, so reruns are
+    The model is ``default_model_config`` with ``model_overrides`` applied
+    by ``models.override``, validated before any clip is read; its head
+    must be the method's (``METHOD_HEADS``). Every clip is then read once,
+    and the frame sizes checked, before any fold trains. The folds run in
+    this process when ``jobs`` is 1, else in ``min(jobs, folds)`` worker
+    processes, which each get the clips once, from the pool's initializer.
+    Results come back in fold-index order whatever the worker scheduling,
+    and every randomness source derives from config.seed, so reruns are
     byte-identical. ``run_dir`` is created and written only once
     every fold has trained, and its files take their names only once all
     are written, so a run that fails leaves nothing behind.
     """
     config.validate()
     entries = dataset.load_prepared_manifest(manifest_path)
-    model_config = replace(default_model_config(config, entries), **(model_overrides or {}))
+    model_config = models.override(default_model_config(config, entries), model_overrides or {})
     model_config.validate()
     if model_config.head != METHOD_HEADS[config.method]:
         raise models.ConfigError(
@@ -469,12 +481,12 @@ def run_experiment(
         replace(model_config, seed=stable_seed(config.seed, split.fold_index, "init"))
         for split in splits
     ]
-    tasks = (splits, repeat(entry_map), repeat(clips), fold_configs, repeat(config))
     if jobs == 1:
-        results = list(map(train_fold, *tasks))
+        results = [train_fold(s, entry_map, clips, c, config) for s, c in zip(splits, fold_configs)]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(splits))) as pool:
-            results = list(pool.map(train_fold, *tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(splits)), initializer=_init_fold_worker,
+                                 initargs=(entry_map, clips, config)) as pool:
+            results = list(pool.map(_train_fold_in_worker, splits, fold_configs))
 
     run = ExperimentRun(
         variant=config.variant,

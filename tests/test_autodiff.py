@@ -144,7 +144,7 @@ class TestForwardValues:
         # linear's matmul with the identity, and a zero bias, returns x
         a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
         eye = ad.tensor(np.eye(2))
-        np.testing.assert_array_equal(ad.linear(a, eye, ad.zeros((2,))).data, a.data)
+        np.testing.assert_array_equal(ad.linear(a, eye, ad.tensor(np.zeros((2,)))).data, a.data)
 
     # "stage0" is mini-mvit's first stage at 72x96: 3 clips of 3456 tokens,
     # 16 wide, long enough for a change in summation order to show
@@ -234,7 +234,7 @@ class TestForwardValues:
         x = rng.standard_normal((2, 3, 1, 7))
         w = rng.standard_normal((4, 3, 1, 3))
         tx = ad.tensor(x.transpose(1, 0, 2, 3))
-        b = ad.zeros((4, 1, 1, 1))
+        b = ad.tensor(np.zeros((4, 1, 1, 1)))
         out = ad.conv2d(tx, ad.tensor(w), b, stride=(1, stride), padding=(0, 1)).data
         out = out.transpose(1, 0, 2, 3)
         xp = np.pad(x[:, :, 0], ((0, 0), (0, 0), (1, 1)))
@@ -285,6 +285,22 @@ class TestForwardValues:
         g = rng.standard_normal((b, nq, heads * d))
         assert_attention_matches_reference(q, k, v, g, heads)
 
+    def test_grid_shaped_attention_equals_the_flattened_call(self):
+        # q on a (2, 4, 3) grid over k, v pooled to (1, 2, 2): the output and
+        # every gradient are the (B, N, C) call's, bit for bit, in grid shape
+        rng = np.random.default_rng(11)
+        q, g = rng.standard_normal((2, 2, 2, 4, 3, 6))
+        k, v = rng.standard_normal((2, 2, 1, 2, 2, 6))
+        results = []
+        for shape in (lambda a: a, lambda a: a.reshape(2, -1, 6)):
+            tq, tk, tv = (ad.tensor(shape(a), requires_grad=True) for a in (q, k, v))
+            out = ad.pooled_attention(tq, tk, tv, heads=2)
+            gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(shape(g)))))
+            results.append([out.data] + [gmap[t.node_id].data for t in (tq, tk, tv)])
+        for grid, flat, x in zip(*results, (q, q, k, v)):
+            assert grid.shape == x.shape
+            assert grid.tobytes() == flat.tobytes()
+
     @pytest.mark.parametrize("b,heads,nq,nk", [(1, 1, 200, 2048), (2, 2, 131, 1024)])
     def test_pooled_attention_across_query_tiles(self, b, heads, nq, nk):
         # 2048 keys at B = heads = 1 give 64-row tiles, so 200 queries take
@@ -317,8 +333,9 @@ class TestErrors:
             ad.apply("frobnicate", (ad.tensor([1.0]),))
 
     def test_shape_mismatch_reports_both(self):
+        ones = ad.tensor(np.ones((2, 3)))
         with pytest.raises(ad.ShapeMismatch) as exc:
-            ad.linear(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))), ad.zeros((3,)))
+            ad.linear(ones, ones, ad.tensor(np.zeros(3)))
         assert "expected" in str(exc.value)
 
     @pytest.mark.parametrize("kind,shapes,attrs,expected", [
@@ -340,10 +357,10 @@ class TestErrors:
             ad.apply(kind, [ad.tensor(np.ones(s)) for s in shapes], attrs)
 
     @pytest.mark.parametrize("shapes,heads,expected", [
-        (((2, 3), (2, 3, 4), (2, 3, 4)), 2, "rank-3"),
+        (((2, 3), (2, 3, 4), (2, 3, 4)), 2, r"\(B, \.\.\., C\) q, k, v"),
         (((2, 3, 4), (1, 3, 4), (1, 3, 4)), 2, "batch 2 and width 4"),
         (((2, 3, 4), (2, 3, 6), (2, 3, 6)), 2, "batch 2 and width 4"),
-        (((2, 3, 4), (2, 3, 4), (2, 2, 4)), 2, "3 value tokens"),
+        (((2, 3, 4), (2, 3, 4), (2, 2, 4)), 2, r"v of k's shape \(2, 3, 4\)"),
         (((2, 3, 6), (2, 3, 6), (2, 3, 6)), 4, "width divisible by 4 heads"),
     ], ids=["rank", "batch", "width", "tokens", "heads"])
     def test_pooled_attention_shapes(self, shapes, heads, expected):
@@ -407,7 +424,7 @@ class TestBackward:
         xv = rng.standard_normal(4)
         wv = rng.standard_normal(4)
         x = ad.tensor(xv, requires_grad=True)
-        normed = ad.layer_norm(x, ad.tensor(np.ones(4)), ad.zeros((4,)))
+        normed = ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros((4,))))
         gmap = ad.backward(ad.sum_(ad.multiply(normed, ad.tensor(wv))))
 
         def fn(arrs):
@@ -422,7 +439,7 @@ class TestBackward:
     def test_layer_norm_plain_sum_gradient_is_zero(self):
         rng = np.random.default_rng(8)
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.zeros((4,)))))
+        gmap = ad.backward(ad.sum_(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)))))
         np.testing.assert_allclose(gmap[x.node_id].data, 0.0, atol=1e-12)
 
     def test_gradient_map_keys_are_node_ids(self):
@@ -460,7 +477,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = ad.tensor(rng.standard_normal((2, 3, 5, 5)))
         w = ad.tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
-        b = ad.zeros((4, 1, 1, 1))
+        b = ad.tensor(np.zeros((4, 1, 1, 1)))
         gmap = ad.backward(ad.sum_(ad.conv2d(x, w, b, (2, 2), (1, 1))))
         assert needs == [(False, True, False)] and scatters == []
         assert set(gmap) == {w.node_id}

@@ -452,6 +452,44 @@ class TestTrain:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, line", [
+        ("mvit", "hidden_size = 16"),
+        *[(model, line) for model in ("r2plus1d", "cnnrnn") for line in (
+            "attention_heads = 4", "kv_stride = 1,1,1", "stage_stride = 1,1,1",
+            "mlp_ratio = 4", "patch_stride = 1,2,2", "blocks = 2,2,2",
+        )],
+    ])
+    def test_key_the_model_never_reads_fails_before_reading_clips(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch, model, line
+    ):
+        _, prepared, _ = mini_pipeline
+
+        def no_read(*args):
+            raise AssertionError("a clip was read")
+
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\n{line}\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", model,
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: {cli.MODEL_NAMES[model]} does not read {key}\n"
+        assert not out.exists()
+
+    def test_r2plus1d_takes_two_stages_whatever_blocks_says(self, mini_pipeline, tmp_path):
+        # blocks is mini-mvit's alone, so its three default stages do not
+        # bind r2plus1d's embed_dims
+        _, prepared, _ = mini_pipeline
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nfolds = 2\nembed_dims = 8,16\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "r2plus1d",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 0
+        assert "embed_dims = 8,16\n" in (out / "config.txt").read_text()
+
     def test_unknown_model_is_usage_error(self, mini_pipeline, tmp_path):
         root, prepared, config = mini_pipeline
         with pytest.raises(SystemExit) as exc:

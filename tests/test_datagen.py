@@ -192,8 +192,10 @@ def _oracle_render(entry, geometry, agent_scale):
     yy, xx = np.mgrid[0:h, 0:w]
     uy, ux = yy / (h - 1), xx / (w - 1)
     (cy, cx), (ry, rx) = datagen.PATIENT_CENTER, datagen.PATIENT_SEMI
-    _, dx = datagen._patient_offsets(moving, t_total, phase_rng)
     if moving:
+        # the roll's phase is the first draw of the phase stream
+        ph = phase_rng.uniform(0.0, 1.0)
+        dx = 0.06 * np.sin(2 * np.pi * (0.012 * np.arange(t_total, dtype=np.float64) + ph))
         for t in range(t_total):
             mask = ((uy - cy) / ry) ** 2 + ((ux - cx - dx[t]) / rx) ** 2 <= 1.0
             canvas[t][mask] += datagen.PATIENT_DELTA

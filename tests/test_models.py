@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,9 @@ def random_batch(rng, n, frame_hw=(8, 8)):
     return ad.tensor(rng.uniform(0.0, 1.0, size=(n, 16, *frame_hw)))
 
 
-def forward_op_kinds(monkeypatch, variant):
+def forward_op_kinds(monkeypatch, variant, frame_hw=(24, 32)):
     """The op kinds, in call order, of one forward of ``variant``'s default
-    model on two 24x32 clips."""
+    model on two clips of ``frame_hw``."""
     kinds = []
     apply = ad.apply
 
@@ -37,8 +37,8 @@ def forward_op_kinds(monkeypatch, variant):
         return apply(kind, inputs, attrs)
 
     monkeypatch.setattr(ad, "apply", spy)
-    model = models.build_model(models.default_config(variant, "classify-8", (24, 32)))
-    model.forward(random_batch(np.random.default_rng(7), 2, (24, 32)))
+    model = models.build_model(models.default_config(variant, "classify-8", frame_hw))
+    model.forward(random_batch(np.random.default_rng(7), 2, frame_hw))
     return kinds
 
 
@@ -100,16 +100,54 @@ class TestBuildModel:
             config.validate()
 
 
+class TestVariantFields:
+    def test_every_field_is_common_or_read_by_a_variant(self):
+        read = set(models.COMMON_FIELDS).union(*models.VARIANT_FIELDS.values())
+        assert read == {f.name for f in fields(models.ModelConfig)}
+        assert models.VARIANTS == tuple(models.VARIANT_FIELDS)
+
+    # a valid value other than the default for every field some variant reads
+    OTHER = {"patch_stride": (1, 2, 2), "embed_dims": (8, 16), "blocks": (2, 1),
+             "attention_heads": 4, "kv_stride": (1, 1, 1), "stage_stride": (1, 1, 2),
+             "mlp_ratio": 3.0, "hidden_size": 12}
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_table_lists_what_the_variant_reads(self, variant):
+        # an unread field changes neither the parameters nor the logits, and
+        # override refuses it; a read field passes override
+        default = models.default_config(variant, "classify-8", (24, 32))
+        batch = random_batch(np.random.default_rng(8), 1, (24, 32))
+        reference = models.build_model(default)
+        want = reference.forward(batch).data
+        for key, value in self.OTHER.items():
+            if key in models.VARIANT_FIELDS[variant]:
+                assert getattr(models.override(default, {key: value}), key) == value
+                continue
+            with pytest.raises(models.ConfigError, match=f"{variant} does not read {key}"):
+                models.override(default, {key: value})
+            changed = models.build_model(replace(default, **{key: value}))
+            assert changed.params.keys() == reference.params.keys()
+            for name, p in changed.params.items():
+                assert p.data.tobytes() == reference.params[name].data.tobytes()
+            assert changed.forward(batch).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", ["micro-r2plus1d", "micro-cnn-rnn"])
+    def test_blocks_length_binds_only_mvit(self, variant):
+        config = replace(micro_config(variant), embed_dims=(4, 8, 8, 8), blocks=(1,))
+        config.validate()
+        with pytest.raises(models.ConfigError, match="blocks must give a count >= 0 per stage"):
+            replace(config, variant="mini-mvit", embed_dims=(8, 16)).validate()
+
+
 class TestPatchify:
     def test_grid_arithmetic(self):
         rng = np.random.default_rng(0)
         frames = ad.tensor(rng.uniform(size=(2, 16, 32, 32)))
         w = ad.tensor(rng.standard_normal((2 * 4 * 4, 16)))
-        b = ad.zeros((16,))
-        pos = ad.zeros((8, 8, 8, 16))
+        b = ad.tensor(np.zeros((16,)))
+        pos = ad.tensor(np.zeros((8, 8, 8, 16)))
         grid = models.patchify(frames, (2, 4, 4), w, b, pos)
-        assert grid.dims == (8, 8, 8)
-        assert grid.tokens.shape == (2, 512, 16)
+        assert grid.shape == (2, 8, 8, 8, 16)
 
     def test_identity_embedding(self):
         rng = np.random.default_rng(1)
@@ -118,22 +156,29 @@ class TestPatchify:
             ad.tensor(pixels),
             (1, 1, 1),
             ad.tensor(np.ones((1, 1))),
-            ad.zeros((1,)),
-            ad.zeros((16, 4, 4, 1)),
+            ad.tensor(np.zeros((1,))),
+            ad.tensor(np.zeros((16, 4, 4, 1))),
         )
-        np.testing.assert_array_equal(grid.tokens.data.reshape(1, 16, 4, 4), pixels)
+        assert grid.shape == (1, 16, 4, 4, 1)
+        np.testing.assert_array_equal(grid.data.reshape(1, 16, 4, 4), pixels)
 
     def test_ceil_mode_padding(self):
         frames = ad.tensor(np.ones((1, 16, 5, 6)))
         w = ad.tensor(np.ones((2 * 4 * 4, 3)))
-        grid = models.patchify(frames, (2, 4, 4), w, ad.zeros((3,)), ad.zeros((8, 2, 2, 3)))
-        assert grid.dims == (8, 2, 2)
+        b, pos = ad.tensor(np.zeros((3,))), ad.tensor(np.zeros((8, 2, 2, 3)))
+        grid = models.patchify(frames, (2, 4, 4), w, b, pos)
+        assert grid.shape == (1, 8, 2, 2, 3)
+        # each token sums its patch's pixels inside the 5x6 frame; the pad adds 0
+        covered = np.array([[32.0, 16.0], [8.0, 4.0]])
+        np.testing.assert_array_equal(grid.data, np.broadcast_to(covered[..., None], grid.shape))
 
     def test_stride_exceeds_input(self):
         frames = ad.tensor(np.ones((1, 16, 4, 4)))
         w = ad.tensor(np.ones((2 * 8 * 8, 3)))
         with pytest.raises(models.GeometryError, match="exceeds"):
-            models.patchify(frames, (2, 8, 8), w, ad.zeros((3,)), ad.zeros((8, 1, 1, 3)))
+            models.patchify(
+                frames, (2, 8, 8), w, ad.tensor(np.zeros((3,))), ad.tensor(np.zeros((8, 1, 1, 3)))
+            )
 
 
 class TestPoolingAttention:
@@ -143,36 +188,35 @@ class TestPoolingAttention:
             params[f"blk.{name}.w"] = ad.tensor(
                 rng.standard_normal((dim, dim)) * 0.1, requires_grad=True
             )
-            params[f"blk.{name}.b"] = ad.zeros((dim,))
+            params[f"blk.{name}.b"] = ad.tensor(np.zeros((dim,)))
         return params
 
     def test_unit_stride_keeps_extents(self):
         rng = np.random.default_rng(2)
         params = self.make_block_params(rng, 16)
-        grid = models.TokenGrid(ad.tensor(rng.standard_normal((1, 512, 16))), (8, 8, 8))
+        grid = ad.tensor(rng.standard_normal((1, 8, 8, 8, 16)))
         out = models.pooling_attention(params, "blk", grid, grid, 2, (1, 2, 2))
-        assert out.dims == (8, 8, 8)
+        assert out.shape[1:4] == (8, 8, 8)
 
     def test_query_stride_pools_grid(self):
         rng = np.random.default_rng(3)
         params = self.make_block_params(rng, 16)
-        grid = models.TokenGrid(ad.tensor(rng.standard_normal((1, 512, 16))), (8, 8, 8))
+        grid = ad.tensor(rng.standard_normal((1, 8, 8, 8, 16)))
         query = models._pool_grid(grid, (1, 2, 2))
         out = models.pooling_attention(params, "blk", grid, query, 2, (1, 4, 4))
-        assert out.dims == (8, 4, 4)
-        assert out.tokens.shape == (1, 128, 16)
+        assert out.shape == (1, 8, 4, 4, 16)
 
     def test_zero_parameters_reduce_to_pooled_query(self):
         rng = np.random.default_rng(4)
         params = {}
         for name in ("q", "k", "v", "proj"):
-            params[f"blk.{name}.w"] = ad.zeros((16, 16))
-            params[f"blk.{name}.b"] = ad.zeros((16,))
-        grid = models.TokenGrid(ad.tensor(rng.standard_normal((2, 512, 16))), (8, 8, 8))
+            params[f"blk.{name}.w"] = ad.tensor(np.zeros((16, 16)))
+            params[f"blk.{name}.b"] = ad.tensor(np.zeros((16,)))
+        grid = ad.tensor(rng.standard_normal((2, 8, 8, 8, 16)))
         query = models._pool_grid(grid, (1, 2, 2))
         out = models.pooling_attention(params, "blk", grid, query, 2, (1, 4, 4))
-        pooled_query = np.zeros((2, 128, 16))  # zero projection pools to zero
-        np.testing.assert_array_equal(out.tokens.data, pooled_query)
+        pooled_query = np.zeros((2, 8, 4, 4, 16))  # zero projection pools to zero
+        np.testing.assert_array_equal(out.data, pooled_query)
 
 
 def pool_reference(x, dims, stride):
@@ -241,11 +285,11 @@ class TestPoolBeforeProject:
             params[f"blk.{name}.g"] = ad.tensor(1.0 + rng.standard_normal(width) * 0.2)
             params[f"blk.{name}.b"] = ad.tensor(rng.standard_normal(width) * 0.5)
         x = rng.standard_normal((2, int(np.prod(dims)), dim_in))
-        grid = models.TokenGrid(ad.tensor(x), dims)
+        grid = ad.tensor(x.reshape(2, *dims, dim_in))
         out = models._mvit_block(params, "blk", grid, heads, kv_stride, q_stride, dim_in, dim)
         ref = mvit_block_reference(params, "blk", x, dims, heads, kv_stride, q_stride, dim_in, dim)
-        assert out.dims == tuple(-(-n // s) for n, s in zip(dims, q_stride))
-        np.testing.assert_allclose(out.tokens.data, ref, rtol=0, atol=1e-12)
+        assert out.shape == (2, *(-(-n // s) for n, s in zip(dims, q_stride)), dim)
+        np.testing.assert_allclose(out.data.reshape(ref.shape), ref, rtol=0, atol=1e-12)
 
 
 class TestForward:
@@ -305,7 +349,7 @@ class TestForward:
         attention = ad.pooled_attention
 
         def spy(q, k, v, heads):
-            seen.append(k.shape[1])
+            seen.append(int(np.prod(k.shape[1:-1])))
             return attention(q, k, v, heads)
 
         monkeypatch.setattr(ad, "pooled_attention", spy)
@@ -331,7 +375,7 @@ class TestForward:
             assert "multiply" not in kinds and "relu" in kinds
             assert kinds.count("linear") == 1 + 3 * 6 + 2 + 1
             assert kinds.count("layer_norm") == 3 * 2 + 1
-            assert len(kinds) == 66
+            assert len(kinds) == 52
         elif variant == "micro-r2plus1d":
             # only the head's ReLU stands alone
             assert kinds.count("relu") == 1 and kinds.count("linear") == 1
@@ -339,6 +383,15 @@ class TestForward:
         else:
             assert kinds.count("gru") == 1 and kinds.count("linear") == 4
             assert len(kinds) <= 12
+
+    # 30x30 pads the clip to the patch stride; 72x96 is the full geometry
+    @pytest.mark.parametrize("frame_hw", [(24, 32), (30, 30), (72, 96)])
+    def test_mvit_tokens_keep_their_grid_shape(self, monkeypatch, frame_hw):
+        # the patch rows are cut outside the graph and every layer takes the
+        # (B, T, H, W, C) grid as it is, so no op only moves values
+        kinds = forward_op_kinds(monkeypatch, "mini-mvit", frame_hw)
+        assert not {"reshape", "permute", "concat"} & set(kinds)
+        assert len(kinds) == 52
 
     def test_multiscale_schedule_monotone(self):
         cfg = models.default_config("mini-mvit", "classify-8", (32, 24))

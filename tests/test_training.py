@@ -345,12 +345,35 @@ class TestRunExperiment:
         par = training.run_experiment(tiny_corpus, tiny_train_config(seed=4), jobs=2, **kwargs)
         assert seq.to_json() == par.to_json()
 
+    def test_clips_cross_to_each_worker_at_most_once(self, tiny_corpus, monkeypatch):
+        # 4 folds on 2 workers: the clips go to the pool's initializer, not
+        # with every fold's task
+        pickled = []
+
+        class CountingDict(dict):
+            def __reduce_ex__(self, protocol):
+                pickled.append(protocol)
+                return dict, (dict(self),)
+
+        load = training.load_sampled_clips
+        monkeypatch.setattr(
+            training, "load_sampled_clips", lambda entries: CountingDict(load(entries))
+        )
+        config = replace(tiny_train_config(epochs=0), folds=4)
+        with pytest.warns(UserWarning, match="fewer than 4 members"):
+            run = training.run_experiment(
+                tiny_corpus, config, jobs=2, model_overrides=TINY_OVERRIDES
+            )
+        assert [fold["fold_index"] for fold in run.folds] == [0, 1, 2, 3]
+        assert len(pickled) <= 2
+
     def test_pool_is_capped_at_the_fold_count(self, tiny_corpus, monkeypatch):
         asked = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 asked.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
