@@ -69,14 +69,13 @@ def cmd_prep(args):
 
 # config keys map to the annotation of their dataclass field, which names
 # the parser of their value
-TRAIN_KEYS = {f.name: f.type for f in fields(training.TrainConfig)}
-MODEL_KEYS = {f.name: f.type for f in fields(models.ModelConfig)}
 _PARSERS = {
     "tuple": lambda raw: tuple(int(v) for v in raw.split(",")),
     "float": float,
     "int": int,
     "str": str,
 }
+_PARSERS["widths"] = _PARSERS["tuple"]
 
 
 def read_utf8(path):
@@ -88,12 +87,21 @@ def read_utf8(path):
         raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_config_file(path, fixed=None):
-    """key = value lines; # starts a comment. A key of ``fixed``, a setting
-    the command line gives, may appear only with the value given there."""
-    fixed = fixed or {}
-    train_overrides = {}
-    model_overrides = {}
+def read_config_file(path, fixed):
+    """The train and the model settings of key = value lines; # starts a
+    comment. Each key, given once, is a train setting or a field the
+    variant's config class adds to ``models.ModelConfig``. A key of
+    ``fixed``, set on the command line (variant and method among them),
+    must have its value there."""
+    variant, method = fixed["variant"], fixed["method"]
+    # a dataclass lists the fields of its base class first
+    own = fields(models.config_class(variant))[len(fields(models.ModelConfig)):]
+    model_keys = {f.name: f.type for f in own}
+    kinds = {f.name: f.type for f in fields(training.TrainConfig)} | model_keys
+    # the shared fields a run derives; seed is a train key
+    derived = {"head": f"the {method} method trains {training.METHOD_HEADS[method]!r}",
+               "frame_hw": "it is the clips' frame size"}
+    values, first_line = {}, {}
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -101,22 +109,24 @@ def read_config_file(path, fixed=None):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in TRAIN_KEYS:
-            overrides, kind = train_overrides, TRAIN_KEYS[key]
-        elif key in MODEL_KEYS:
-            overrides, kind = model_overrides, MODEL_KEYS[key]
-        else:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise CliError(f"{path}:{lineno}: {key} given twice (first on line {first_line[key]})")
+        if key in derived:
+            raise CliError(f"{path}:{lineno}: {key} is not a config key; {derived[key]}")
+        if key not in kinds:
+            raise CliError(f"{path}:{lineno}: {variant} has no config key {key!r}")
+        first_line[key] = lineno
         try:
-            overrides[key] = _PARSERS[kind](raw)
+            values[key] = _PARSERS[kinds[key]](raw)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key} ({kind})")
-        if key in fixed and overrides[key] != fixed[key]:
+            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key} ({kinds[key]})")
+        if key in fixed and values[key] != fixed[key]:
             raise CliError(
                 f"{path}:{lineno}: {key} = {raw} disagrees with the command line, "
                 f"which gives {key} = {fixed[key]}"
             )
-    return train_overrides, model_overrides
+    train = {key: value for key, value in values.items() if key not in model_keys}
+    return train, {key: value for key, value in values.items() if key in model_keys}
 
 
 def cmd_train(args):
@@ -124,7 +134,7 @@ def cmd_train(args):
     if args.seed is not None:
         flags["seed"] = args.seed
     train_overrides, model_overrides = (
-        read_config_file(args.config, fixed=flags) if args.config else ({}, {})
+        read_config_file(args.config, flags) if args.config else ({}, {})
     )
     train_overrides.update(flags)
     config = replace(training.TrainConfig(), **train_overrides)

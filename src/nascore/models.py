@@ -28,6 +28,10 @@ micro-cnn-rnn takes the spatial mean of each frame's features before its
 recurrent cell and feeds the head the final hidden state.
 Parameters live in a flat name -> Tensor dict; forward passes are pure
 functions of (params, batch).
+
+Each variant's frozen config class adds to ``ModelConfig``'s ``head``,
+``frame_hw`` and ``seed`` exactly the fields its init and forward read;
+``_VARIANTS`` maps a variant to its config class, init and forward.
 """
 
 from __future__ import annotations
@@ -35,23 +39,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .dataset import ACTIVITY_TABLE
 
-# the ModelConfig fields each variant reads, besides the COMMON_FIELDS
-VARIANT_FIELDS = {
-    "mini-mvit": ("patch_stride", "embed_dims", "blocks", "attention_heads", "kv_stride",
-                  "stage_stride", "mlp_ratio"),
-    "micro-r2plus1d": ("embed_dims",),
-    "micro-cnn-rnn": ("embed_dims", "hidden_size"),
-}
-COMMON_FIELDS = ("variant", "head", "frame_hw", "seed")
-VARIANTS = tuple(VARIANT_FIELDS)
 # the classifier scores one logit per class of the activity table
 CLASSIFY_HEAD = f"classify-{len(ACTIVITY_TABLE)}"
 HEADS = {CLASSIFY_HEAD: len(ACTIVITY_TABLE), "regress-1": 1}
@@ -71,13 +67,17 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# what each config field annotation admits, by name and by test; both
-# configs' validate methods check every field's type before its value
+widths = tuple  # the annotation of channel widths: one or more positive integers
+
+# what each config field annotation admits, by name and by test; every
+# config's validate method checks each field's type before its value
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", _is_int),
     "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
     "tuple": ("a tuple of integers", lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v)),
+    "widths": ("one or more positive widths",
+               lambda v: isinstance(v, tuple) and v and all(_is_int(x) and x > 0 for x in v)),
 }
 
 
@@ -92,86 +92,89 @@ def check_field_types(config):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str
+    """What every variant reads; a subclass names its ``variant``."""
+
     head: str
     frame_hw: tuple
+    seed: int = 0
+
+    def validate(self):
+        check_field_types(self)
+        if self.head not in HEADS:
+            raise ConfigError(f"unknown head {self.head!r}")
+        if len(self.frame_hw) != 2 or min(self.frame_hw) < 1:
+            raise ConfigError(f"frame_hw must be two positive integers, got {self.frame_hw}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class MvitConfig(ModelConfig):
+    variant: ClassVar[str] = "mini-mvit"
     patch_stride: tuple = (2, 4, 4)
-    embed_dims: tuple = (16, 32, 64)
+    embed_dims: widths = (16, 32, 64)
     blocks: tuple = (1, 1, 1)
     attention_heads: int = 2
     # the last stage's K/V pooling stride; see kv_stride_schedule
     kv_stride: tuple = (1, 2, 2)
     stage_stride: tuple = (1, 2, 2)
     mlp_ratio: float = 2.0
-    hidden_size: int = 32
-    seed: int = 0
 
     def validate(self):
-        check_field_types(self)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.head not in HEADS:
-            raise ConfigError(f"unknown head {self.head!r}")
-        if len(self.frame_hw) != 2 or min(self.frame_hw) < 1:
-            raise ConfigError(f"frame_hw must be two positive integers, got {self.frame_hw}")
-        if not self.embed_dims or min(self.embed_dims) < 1:
+        super().validate()
+        for key in ("patch_stride", "kv_stride", "stage_stride"):
+            value = getattr(self, key)
+            if len(value) != 3 or any(v < 1 for v in value):
+                raise ConfigError(f"{key} must be three positive integers, got {value}")
+        if self.attention_heads < 1:
             raise ConfigError(
-                f"embed_dims must be one or more positive widths, got {self.embed_dims}"
+                f"attention_heads must be a positive integer, got {self.attention_heads}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.variant == "mini-mvit":
-            for key in ("patch_stride", "kv_stride", "stage_stride"):
-                value = getattr(self, key)
-                if len(value) != 3 or any(v < 1 for v in value):
-                    raise ConfigError(f"{key} must be three positive integers, got {value}")
-            if self.attention_heads < 1:
+        if len(self.blocks) != len(self.embed_dims) or min(self.blocks, default=0) < 0:
+            raise ConfigError(f"blocks must give a count >= 0 per stage, got {self.blocks}")
+        if N_FRAMES % self.patch_stride[0] != 0:
+            raise ConfigError(
+                f"temporal patch stride {self.patch_stride[0]} must divide {N_FRAMES}"
+            )
+        for i, dim in enumerate(self.embed_dims):
+            if dim % self.attention_heads != 0:
                 raise ConfigError(
-                    f"attention_heads must be a positive integer, got {self.attention_heads}"
+                    f"stage {i} dim {dim} not divisible by {self.attention_heads} heads"
                 )
-            if len(self.blocks) != len(self.embed_dims) or min(self.blocks, default=0) < 0:
-                raise ConfigError(f"blocks must give a count >= 0 per stage, got {self.blocks}")
-            if N_FRAMES % self.patch_stride[0] != 0:
-                raise ConfigError(
-                    f"temporal patch stride {self.patch_stride[0]} must divide {N_FRAMES}"
-                )
-            for i, dim in enumerate(self.embed_dims):
-                if dim % self.attention_heads != 0:
-                    raise ConfigError(
-                        f"stage {i} dim {dim} not divisible by {self.attention_heads} heads"
-                    )
-            for a, b in zip(self.embed_dims, self.embed_dims[1:]):
-                if b != 2 * a:
-                    raise ConfigError(f"stage dims must double, got {self.embed_dims}")
-            if round(self.mlp_ratio * self.embed_dims[0]) < 1:
-                raise ConfigError(f"mlp_ratio {self.mlp_ratio} leaves stage 0 no MLP width")
-        if self.variant == "micro-cnn-rnn" and self.hidden_size < 1:
+        for a, b in zip(self.embed_dims, self.embed_dims[1:]):
+            if b != 2 * a:
+                raise ConfigError(f"stage dims must double, got {self.embed_dims}")
+        if round(self.mlp_ratio * self.embed_dims[0]) < 1:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} leaves stage 0 no MLP width")
+
+
+@dataclass(frozen=True)
+class R2plus1dConfig(ModelConfig):
+    variant: ClassVar[str] = "micro-r2plus1d"
+    embed_dims: widths = (8, 16, 32)
+
+
+@dataclass(frozen=True)
+class CnnRnnConfig(ModelConfig):
+    variant: ClassVar[str] = "micro-cnn-rnn"
+    embed_dims: widths = (8, 16)
+    hidden_size: int = 32
+
+    def validate(self):
+        super().validate()
+        if self.hidden_size < 1:
             raise ConfigError("hidden_size must be positive")
 
-    @property
-    def head_width(self):
-        return HEADS[self.head]
+
+def config_class(variant):
+    """The config dataclass of ``variant``; its own fields are the settings it takes."""
+    if variant not in _VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    return _VARIANTS[variant][0]
 
 
-def default_config(variant, head, frame_hw, seed=0) -> ModelConfig:
-    if variant == "mini-mvit":
-        return ModelConfig(variant, head, tuple(frame_hw), seed=seed)
-    if variant == "micro-r2plus1d":
-        return ModelConfig(variant, head, tuple(frame_hw), embed_dims=(8, 16, 32), seed=seed)
-    if variant == "micro-cnn-rnn":
-        return ModelConfig(
-            variant, head, tuple(frame_hw), embed_dims=(8, 16), blocks=(1, 1), seed=seed
-        )
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
-def override(config: ModelConfig, overrides) -> ModelConfig:
-    """``config`` with ``overrides`` applied; a field its variant never reads is a ConfigError."""
-    reads = COMMON_FIELDS + VARIANT_FIELDS[config.variant]
-    unread = [key for key in overrides if key not in reads]
-    if unread:
-        raise ConfigError(f"{config.variant} does not read {', '.join(unread)}")
-    return replace(config, **overrides)
+def default_config(variant, head, frame_hw, seed=0, **settings) -> ModelConfig:
+    return config_class(variant)(head, tuple(frame_hw), seed=seed, **settings)
 
 
 # --- initialization --------------------------------------------------------
@@ -214,13 +217,13 @@ def _ceil_div(n, s):
     return -(-n // s)
 
 
-def patch_grid_dims(config: ModelConfig):
+def patch_grid_dims(config: MvitConfig):
     h, w = config.frame_hw
     pt, ph, pw = config.patch_stride
     return (N_FRAMES // pt, _ceil_div(h, ph), _ceil_div(w, pw))
 
 
-def stage_schedule(config: ModelConfig):
+def stage_schedule(config: MvitConfig):
     """(grid dims, channel width) at which each stage's blocks operate."""
     dims = patch_grid_dims(config)
     schedule = [(dims, config.embed_dims[0])]
@@ -230,7 +233,7 @@ def stage_schedule(config: ModelConfig):
     return schedule
 
 
-def kv_stride_schedule(config: ModelConfig):
+def kv_stride_schedule(config: MvitConfig):
     """The K/V pooling stride of each stage on its query grid: kv_stride *
     stage_stride ** (S-1-s) per axis for stage s of S. Each stage transition
     pools the queries by stage_stride, so every block attends to the same
@@ -245,12 +248,7 @@ def kv_stride_schedule(config: ModelConfig):
 def build_model(config: ModelConfig) -> "Model":
     config.validate()
     init = _Init(config.seed)
-    if config.variant == "mini-mvit":
-        _init_mvit(init, config)
-    elif config.variant == "micro-r2plus1d":
-        _init_r2plus1d(init, config)
-    else:
-        _init_cnn_rnn(init, config)
+    _VARIANTS[config.variant][1](init, config)
     return Model(config=config, params=init.params)
 
 
@@ -276,7 +274,7 @@ def _init_mvit(init, config):
             init.linear(f"{prefix}.mlp2", hidden, dim)
             dim_in = dim
     init.norm("norm", dim_in)
-    init.linear("head", dim_in, config.head_width)
+    init.linear("head", dim_in, HEADS[config.head])
 
 
 def _init_r2plus1d(init, config):
@@ -285,7 +283,7 @@ def _init_r2plus1d(init, config):
         init.conv(f"b{i}.spatial", (c, c_in, 3, 3))
         init.conv(f"b{i}.temporal", (c, c, 3, 1))
         c_in = c
-    init.linear("head", c_in, config.head_width)
+    init.linear("head", c_in, HEADS[config.head])
 
 
 def _init_cnn_rnn(init, config):
@@ -298,7 +296,7 @@ def _init_cnn_rnn(init, config):
     for gate in ("z", "r", "n"):
         init.linear(f"gru.x{gate}", feat, hid)
         init.linear(f"gru.h{gate}", hid, hid, bias=False)
-    init.linear("head", hid, config.head_width)
+    init.linear("head", hid, HEADS[config.head])
 
 
 # --- shared pieces ---------------------------------------------------------
@@ -433,11 +431,13 @@ def _forward_cnn_rnn(params, x, config, capture):
     return _dense(params, "head", ad.relu(h_state))
 
 
-_FORWARDS = {
-    "mini-mvit": _forward_mvit,
-    "micro-r2plus1d": _forward_r2plus1d,
-    "micro-cnn-rnn": _forward_cnn_rnn,
+# each variant's config class, parameter initializer and forward pass
+_VARIANTS = {
+    MvitConfig.variant: (MvitConfig, _init_mvit, _forward_mvit),
+    R2plus1dConfig.variant: (R2plus1dConfig, _init_r2plus1d, _forward_r2plus1d),
+    CnnRnnConfig.variant: (CnnRnnConfig, _init_cnn_rnn, _forward_cnn_rnn),
 }
+VARIANTS = tuple(_VARIANTS)
 
 
 @dataclass
@@ -450,7 +450,7 @@ class Model:
         expected = (N_FRAMES, *self.config.frame_hw)
         if batch.shape[1:] != expected:
             raise GeometryError(f"expected batch of {expected} frames, got {batch.shape[1:]}")
-        return _FORWARDS[self.config.variant](self.params, batch, self.config, capture)
+        return _VARIANTS[self.config.variant][2](self.params, batch, self.config, capture)
 
     def replace_params(self, new_params):
         self.params = new_params
@@ -463,15 +463,16 @@ CHECKPOINT_MAGIC = b"NASCKPT1"
 
 def save_checkpoint(model: Model, path):
     """Writes the magic, a u32 LE header length, the JSON header ``{config,
-    params: [{name, shape, offset}]}`` and the parameters as f8 LE values,
-    back to back at those offsets. nascore never reads a checkpoint back."""
+    params: [{name, shape, offset}], variant}`` and the parameters as f8 LE
+    values, back to back at those offsets. nascore never reads a checkpoint
+    back."""
     index = []
     offset = 0
     for name, p in model.params.items():
         index.append({"name": name, "shape": list(p.shape), "offset": offset})
         offset += p.data.size
-    config = asdict(model.config)
-    header = json.dumps({"config": config, "params": index}, sort_keys=True).encode()
+    header = {"config": asdict(model.config), "params": index, "variant": model.config.variant}
+    header = json.dumps(header, sort_keys=True).encode()
     flat = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

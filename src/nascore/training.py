@@ -410,28 +410,16 @@ def _check_folds(folds, method, source):
                 raise RunFileError(f"{where}: score is not a number")
 
 
-def default_model_config(config: TrainConfig, entries) -> models.ModelConfig:
-    """The default model for ``config`` at the frame size of the first clip.
-
-    The indirect method gets the classification head, one logit per
-    activity class, the direct method the single-score regression head.
-    """
-    _, h, w, _ = tvf.read_header(entries[0].clip_path)
-    return models.default_config(config.variant, METHOD_HEADS[config.method], (h, w))
-
-
 def corpus_digest(manifest_path) -> str:
     return hashlib.sha256(Path(manifest_path).read_bytes()).hexdigest()
 
 
-def write_config_echo(path, train_config, model_config):
+def write_config_echo(path, settings):
     lines = ["# effective run configuration"]
-    for section in (train_config, model_config):
-        for f in fields(section):
-            value = getattr(section, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
+    for key, value in settings.items():
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -453,12 +441,15 @@ def run_experiment(
 ) -> ExperimentRun:
     """Trains all folds of one (model, method) run and writes its run directory.
 
-    The model is ``default_model_config`` with ``model_overrides`` applied
-    by ``models.override``, validated before any clip is read; its head
-    must be the method's (``METHOD_HEADS``). Every clip is then read once,
-    and the frame sizes checked, before any fold trains. The folds run in
-    this process when ``jobs`` is 1, else in ``min(jobs, folds)`` worker
-    processes, which each get the clips once, from the pool's initializer.
+    The model is the variant's default config, with the method's head
+    (``METHOD_HEADS``), the first clip's frame size and the variant's
+    fields in ``model_overrides``. It and the fold split are checked
+    before any clip is read. Every clip is then read once, and the frame
+    sizes checked, before any fold trains. Each fold's model draws its
+    init seed from config.seed, so the run records the model's settings
+    without a seed. The folds run in this process when ``jobs`` is 1, else
+    in ``min(jobs, folds)`` worker processes, which each get the clips
+    once, from the pool's initializer.
     Results come back in fold-index order whatever the worker scheduling,
     and every randomness source derives from config.seed, so reruns are
     byte-identical. ``run_dir`` is created and written only once
@@ -467,16 +458,13 @@ def run_experiment(
     """
     config.validate()
     entries = dataset.load_prepared_manifest(manifest_path)
-    model_config = models.override(default_model_config(config, entries), model_overrides or {})
+    _, h, w, _ = tvf.read_header(entries[0].clip_path)
+    head = METHOD_HEADS[config.method]
+    model_config = models.default_config(config.variant, head, (h, w), **(model_overrides or {}))
     model_config.validate()
-    if model_config.head != METHOD_HEADS[config.method]:
-        raise models.ConfigError(
-            f"head {model_config.head!r} does not fit the {config.method} method, "
-            f"which trains {METHOD_HEADS[config.method]!r}"
-        )
+    splits = stratified_kfold(entries, config.folds, config.seed)
     clips = load_sampled_clips(entries)
     entry_map = {e.video_id: e for e in entries}
-    splits = stratified_kfold(entries, config.folds, config.seed)
     fold_configs = [
         replace(model_config, seed=stable_seed(config.seed, split.fold_index, "init"))
         for split in splits
@@ -488,11 +476,12 @@ def run_experiment(
                                  initargs=(entry_map, clips, config)) as pool:
             results = list(pool.map(_train_fold_in_worker, splits, fold_configs))
 
+    settings = {k: v for k, v in asdict(model_config).items() if k != "seed"}
     run = ExperimentRun(
         variant=config.variant,
         method=config.method,
         train_config=asdict(config),
-        model_config=asdict(model_config),
+        model_config=settings,
         corpus_digest=corpus_digest(manifest_path),
         folds=[fold for fold, _ in results],
     )
@@ -502,7 +491,7 @@ def run_experiment(
             for fold, model in results
         }
         writers["predictions.json"] = lambda path: path.write_text(run.to_json())
-        writers["config.txt"] = lambda path: write_config_echo(path, config, model_config)
+        writers["config.txt"] = lambda path: write_config_echo(path, run.train_config | settings)
         writers["digest.txt"] = lambda path: path.write_text(run.corpus_digest + "\n")
         _write_run_dir(Path(run_dir), writers)
     return run

@@ -56,18 +56,15 @@ def gradcheck_suite(seeds=range(N_SEEDS)):
     return checks
 
 
-def _fd_config(variant):
-    if variant == "mini-mvit":
-        # 12x16 gives a (8, 3, 4) stage-0 grid, so its (1, 8, 8) K/V pool
-        # averages truncated ceil-mode windows; at 8x8 it would see (8, 2, 2)
-        return models.ModelConfig(
-            variant, models.CLASSIFY_HEAD, (12, 16), embed_dims=(8, 16, 32), attention_heads=2
-        )
-    if variant == "micro-r2plus1d":
-        return models.ModelConfig(variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8, 8))
-    return models.ModelConfig(
-        variant, models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8), blocks=(1, 1), hidden_size=8
-    )
+_FD_CONFIGS = {
+    # 12x16 gives a (8, 3, 4) stage-0 grid, so its (1, 8, 8) K/V pool
+    # averages truncated ceil-mode windows; at 8x8 it would see (8, 2, 2)
+    "mini-mvit": models.MvitConfig(models.CLASSIFY_HEAD, (12, 16), embed_dims=(8, 16, 32)),
+    "micro-r2plus1d": models.R2plus1dConfig(models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8, 8)),
+    "micro-cnn-rnn": models.CnnRnnConfig(
+        models.CLASSIFY_HEAD, (8, 8), embed_dims=(4, 8), hidden_size=8
+    ),
+}
 
 
 def fd_floor(loss, step):
@@ -100,7 +97,7 @@ def model_grad_check(variant, seed, n_samples=20, step=1e-5):
     whose true derivative is 0 (a K bias, as softmax ignores a per-query
     constant) reads its rounding noise against that floor.
     """
-    config = replace(_fd_config(variant), seed=stable_seed(seed, variant, "init"))
+    config = replace(_FD_CONFIGS[variant], seed=stable_seed(seed, variant, "init"))
     model = models.build_model(config)
     rng = np.random.default_rng(stable_seed(seed, variant, "fd"))
     batch = rng.uniform(0.0, 1.0, size=(2, 16, *config.frame_hw))

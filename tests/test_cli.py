@@ -11,6 +11,10 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def no_read(*args):
+    raise AssertionError("a clip was read")
+
+
 class TestSynth:
     def test_smoke_corpus(self, tmp_path):
         out = tmp_path / "corpus"
@@ -234,9 +238,11 @@ class TestTrain:
         assert not out.exists()
 
     def test_geometry_override_mismatch_leaves_no_run_directory(
-        self, mini_pipeline, tmp_path, capsys
+        self, mini_pipeline, tmp_path, capsys, monkeypatch
     ):
+        # frame_hw is the clips' frame size, so no config line sets it
         _, prepared, _ = mini_pipeline
+        monkeypatch.setattr(tvf, "read_frames", no_read)
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 1\nfolds = 2\nframe_hw = 12,12\n")
         out = tmp_path / "run"
@@ -244,7 +250,8 @@ class TestTrain:
                        "--method", "indirect", "--config", config, "--out", out)
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: expected batch of (16, 12, 12) frames, got (16, 8, 8)\n"
+        expected = f"error: {config}:3: frame_hw is not a config key; it is the clips' frame size\n"
+        assert err == expected
         assert not out.exists()
 
     def test_mixed_geometry_is_one_line_error(self, mini_pipeline, tmp_path, capsys):
@@ -398,10 +405,40 @@ class TestTrain:
 
     def test_config_values_parse_by_field_type(self, tmp_path):
         config = tmp_path / "train.cfg"
-        config.write_text("epochs = 4\nlearning_rate = 0.5\nhead = regress-1\nembed_dims = 4,8\n")
-        train, model = cli.read_config_file(config)
+        config.write_text("epochs = 4\nlearning_rate = 0.5\nmlp_ratio = 3\nembed_dims = 4,8\n")
+        train, model = cli.read_config_file(config, {"variant": "mini-mvit", "method": "direct"})
         assert train == {"epochs": 4, "learning_rate": 0.5}
-        assert model == {"head": "regress-1", "embed_dims": (4, 8)}
+        assert model == {"mlp_ratio": 3.0, "embed_dims": (4, 8)}
+
+    def test_key_given_twice_is_one_line_error(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch
+    ):
+        # the second line used to win silently: this one trained 0 epochs
+        _, prepared, _ = mini_pipeline
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nfolds = 2\n# again\nepochs = 0\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        expected = f"error: {config}:4: epochs given twice (first on line 1)\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_more_folds_than_clips_fails_before_reading_clips(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch
+    ):
+        _, prepared, _ = mini_pipeline
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nfolds = 100\n")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                       "--method", "direct", "--config", config, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "error: k=100 exceeds corpus size 16\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, line, flag", [
         (["--method", "indirect"], "method = direct", "method = indirect"),
@@ -426,7 +463,7 @@ class TestTrain:
         config = tmp_path / "train.cfg"
         config.write_text("method = direct\nvariant = mini-mvit\n")
         fixed = {"method": "direct", "variant": "mini-mvit"}
-        train, _ = cli.read_config_file(config, fixed=fixed)
+        train, _ = cli.read_config_file(config, fixed)
         assert train == fixed
 
     @pytest.mark.parametrize("model, method, head, needed", [
@@ -436,11 +473,8 @@ class TestTrain:
     def test_head_not_fitting_method_fails_before_reading_clips(
         self, mini_pipeline, tmp_path, capsys, monkeypatch, model, method, head, needed
     ):
+        # the head is the method's, so no config line sets it
         _, prepared, _ = mini_pipeline
-
-        def no_read(*args):
-            raise AssertionError("a clip was read")
-
         monkeypatch.setattr(tvf, "read_frames", no_read)
         config = tmp_path / "train.cfg"
         config.write_text(f"epochs = 1\nfolds = 2\nhead = {head}\n")
@@ -448,7 +482,8 @@ class TestTrain:
         code = run_cli("train", "--manifest", prepared, "--model", model,
                        "--method", method, "--config", config, "--out", out)
         assert code == 1
-        expected = f"error: head {head!r} does not fit the {method} method, which trains {needed!r}\n"
+        expected = (f"error: {config}:3: head is not a config key; "
+                    f"the {method} method trains {needed!r}\n")
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
@@ -463,10 +498,6 @@ class TestTrain:
         self, mini_pipeline, tmp_path, capsys, monkeypatch, model, line
     ):
         _, prepared, _ = mini_pipeline
-
-        def no_read(*args):
-            raise AssertionError("a clip was read")
-
         monkeypatch.setattr(tvf, "read_frames", no_read)
         config = tmp_path / "train.cfg"
         config.write_text(f"epochs = 1\nfolds = 2\n{line}\n")
@@ -475,7 +506,8 @@ class TestTrain:
                        "--method", "indirect", "--config", config, "--out", out)
         assert code == 1
         key = line.split(" = ")[0]
-        assert capsys.readouterr().err == f"error: {cli.MODEL_NAMES[model]} does not read {key}\n"
+        expected = f"error: {config}:3: {cli.MODEL_NAMES[model]} has no config key {key!r}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_r2plus1d_takes_two_stages_whatever_blocks_says(self, mini_pipeline, tmp_path):

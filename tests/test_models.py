@@ -10,16 +10,16 @@ from nascore import autodiff as ad
 from nascore import dataset, models, training
 
 
+# each variant at its smallest widths, to keep the tests fast
+MICRO_SETTINGS = {
+    "mini-mvit": {"embed_dims": (8, 16, 32)},
+    "micro-r2plus1d": {"embed_dims": (4, 8, 8)},
+    "micro-cnn-rnn": {"embed_dims": (4, 8), "hidden_size": 8},
+}
+
+
 def micro_config(variant, head="classify-8", frame_hw=(8, 8), seed=0):
-    if variant == "mini-mvit":
-        return models.ModelConfig(
-            variant, head, frame_hw, embed_dims=(8, 16, 32), attention_heads=2, seed=seed
-        )
-    if variant == "micro-r2plus1d":
-        return models.ModelConfig(variant, head, frame_hw, embed_dims=(4, 8, 8), seed=seed)
-    return models.ModelConfig(
-        variant, head, frame_hw, embed_dims=(4, 8), blocks=(1, 1), hidden_size=8, seed=seed
-    )
+    return models.default_config(variant, head, frame_hw, seed=seed, **MICRO_SETTINGS[variant])
 
 
 def random_batch(rng, n, frame_hw=(8, 8)):
@@ -68,16 +68,12 @@ class TestBuildModel:
 
     def test_invalid_configs(self):
         with pytest.raises(models.ConfigError, match="variant"):
-            models.build_model(models.ModelConfig("resnet", "classify-8", (8, 8)))
+            models.default_config("resnet", "classify-8", (8, 8))
         with pytest.raises(models.ConfigError, match="double"):
-            models.build_model(
-                models.ModelConfig("mini-mvit", "classify-8", (8, 8), embed_dims=(8, 24, 48))
-            )
+            models.build_model(models.MvitConfig("classify-8", (8, 8), embed_dims=(8, 24, 48)))
         with pytest.raises(models.ConfigError, match="heads"):
             models.build_model(
-                models.ModelConfig(
-                    "mini-mvit", "classify-8", (8, 8), embed_dims=(9, 18, 36), attention_heads=2
-                )
+                models.MvitConfig("classify-8", (8, 8), embed_dims=(9, 18, 36), attention_heads=2)
             )
 
     # the type checks run before any value check, so a value of the wrong
@@ -95,48 +91,48 @@ class TestBuildModel:
         ],
     )
     def test_malformed_field_is_config_error(self, field, value, message):
-        config = replace(micro_config("micro-cnn-rnn"), **{field: value})
-        with pytest.raises(models.ConfigError, match=message):
-            config.validate()
+        # in every variant whose config has the field
+        having = [micro_config(v) for v in models.VARIANTS if hasattr(micro_config(v), field)]
+        assert having
+        for config in having:
+            with pytest.raises(models.ConfigError, match=message):
+                replace(config, **{field: value}).validate()
 
 
 class TestVariantFields:
-    def test_every_field_is_common_or_read_by_a_variant(self):
-        read = set(models.COMMON_FIELDS).union(*models.VARIANT_FIELDS.values())
-        assert read == {f.name for f in fields(models.ModelConfig)}
-        assert models.VARIANTS == tuple(models.VARIANT_FIELDS)
-
-    # a valid value other than the default for every field some variant reads
-    OTHER = {"patch_stride": (1, 2, 2), "embed_dims": (8, 16), "blocks": (2, 1),
+    # a valid value other than the default for every field some variant takes
+    OTHER = {"patch_stride": (4, 4, 4), "embed_dims": (4, 8, 16), "blocks": (2, 1, 1),
              "attention_heads": 4, "kv_stride": (1, 1, 1), "stage_stride": (1, 1, 2),
              "mlp_ratio": 3.0, "hidden_size": 12}
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
-    def test_table_lists_what_the_variant_reads(self, variant):
-        # an unread field changes neither the parameters nor the logits, and
-        # override refuses it; a read field passes override
+    def test_every_field_of_a_variant_shapes_its_model(self, variant):
+        # another value of any field the variant's config declares, beyond
+        # the shared ones, changes its parameters or its logits
         default = models.default_config(variant, "classify-8", (24, 32))
         batch = random_batch(np.random.default_rng(8), 1, (24, 32))
         reference = models.build_model(default)
         want = reference.forward(batch).data
-        for key, value in self.OTHER.items():
-            if key in models.VARIANT_FIELDS[variant]:
-                assert getattr(models.override(default, {key: value}), key) == value
-                continue
-            with pytest.raises(models.ConfigError, match=f"{variant} does not read {key}"):
-                models.override(default, {key: value})
-            changed = models.build_model(replace(default, **{key: value}))
-            assert changed.params.keys() == reference.params.keys()
-            for name, p in changed.params.items():
-                assert p.data.tobytes() == reference.params[name].data.tobytes()
-            assert changed.forward(batch).data.tobytes() == want.tobytes()
+        shared = {f.name for f in fields(models.ModelConfig)}
+        own = [f.name for f in fields(default) if f.name not in shared]
+        assert own
+        for key in own:
+            assert self.OTHER[key] != getattr(default, key)
+            changed = models.build_model(replace(default, **{key: self.OTHER[key]}))
+            same_params = changed.params.keys() == reference.params.keys() and all(
+                p.data.tobytes() == reference.params[name].data.tobytes()
+                for name, p in changed.params.items()
+            )
+            same_logits = changed.forward(batch).data.tobytes() == want.tobytes()
+            assert not (same_params and same_logits), key
 
     @pytest.mark.parametrize("variant", ["micro-r2plus1d", "micro-cnn-rnn"])
     def test_blocks_length_binds_only_mvit(self, variant):
-        config = replace(micro_config(variant), embed_dims=(4, 8, 8, 8), blocks=(1,))
+        config = replace(micro_config(variant), embed_dims=(4, 8, 8, 8))
         config.validate()
+        assert not hasattr(config, "blocks")
         with pytest.raises(models.ConfigError, match="blocks must give a count >= 0 per stage"):
-            replace(config, variant="mini-mvit", embed_dims=(8, 16)).validate()
+            replace(micro_config("mini-mvit"), embed_dims=(8, 16)).validate()
 
 
 class TestPatchify:
@@ -469,7 +465,8 @@ def expected_checkpoint_parts(model):
     for name, p in model.params.items():
         index.append({"name": name, "shape": list(p.shape), "offset": offset})
         offset += p.data.size
-    header = json.loads(json.dumps({"config": asdict(model.config), "params": index}))
+    header = {"config": asdict(model.config), "params": index, "variant": model.config.variant}
+    header = json.loads(json.dumps(header))
     payload = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
     return header, payload.astype("<f8").tobytes()
 

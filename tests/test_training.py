@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -276,12 +276,17 @@ def tiny_train_config(method="indirect", epochs=2, seed=0):
 
 
 def tiny_model_config(head):
-    return models.ModelConfig(
-        "mini-mvit", head, (8, 8), embed_dims=(8, 16, 32), attention_heads=2
-    )
+    return models.MvitConfig(head, (8, 8), embed_dims=(8, 16, 32), attention_heads=2)
 
 
-# default_model_config at 8x8 with these overrides is tiny_model_config
+def run_settings(model_config):
+    """What a run records of its model: every field but the init seed."""
+    settings = asdict(model_config)
+    del settings["seed"]
+    return settings
+
+
+# a run at 8x8 with these overrides builds tiny_model_config
 TINY_OVERRIDES = {"embed_dims": (8, 16, 32), "attention_heads": 2}
 
 
@@ -321,7 +326,7 @@ class TestRunExperiment:
         entries = dataset.load_prepared_manifest(tiny_corpus)
         assert sorted(p["video_id"] for p in preds) == sorted(e.video_id for e in entries)
         assert all(len(p["logits"]) == 8 for p in preds)
-        assert run.model_config == asdict(tiny_model_config("classify-8"))
+        assert run.model_config == run_settings(tiny_model_config("classify-8"))
 
     def test_direct_predictions_are_scalars(self, tiny_corpus):
         run = training.run_experiment(
@@ -405,11 +410,35 @@ class TestRunExperiment:
         entries = dataset.load_prepared_manifest(tiny_corpus)
         assert sorted(paths) == sorted(e.clip_path.name for e in entries)
 
+    # the keys each variant's config.txt lists after the train settings
+    MODEL_ECHO = {
+        "mini-mvit": ["head", "frame_hw", "patch_stride", "embed_dims", "blocks",
+                      "attention_heads", "kv_stride", "stage_stride", "mlp_ratio"],
+        "micro-r2plus1d": ["head", "frame_hw", "embed_dims"],
+        "micro-cnn-rnn": ["head", "frame_hw", "embed_dims", "hidden_size"],
+    }
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_config_echo_names_each_setting_once(self, tiny_corpus, tmp_path, variant):
+        # every train setting, then the head, the frame size and only the
+        # fields the variant takes: no second variant, no template seed
+        config = replace(tiny_train_config(epochs=0, seed=3), variant=variant)
+        run_dir = tmp_path / "run"
+        run = training.run_experiment(tiny_corpus, config, run_dir=run_dir)
+        lines = (run_dir / "config.txt").read_text().splitlines()
+        assert lines[0] == "# effective run configuration"
+        keys = [line.split(" = ")[0] for line in lines[1:]]
+        train_keys = [f.name for f in fields(training.TrainConfig)]
+        assert keys == train_keys + self.MODEL_ECHO[variant]
+        assert "seed = 3" in lines and "frame_hw = 8,8" in lines
+        assert list(run.model_config) == self.MODEL_ECHO[variant]
+
     def test_default_model_config_follows_method_and_first_clip(self, tiny_corpus):
-        entries = dataset.load_prepared_manifest(tiny_corpus)
         for method, head in (("indirect", "classify-8"), ("direct", "regress-1")):
-            got = training.default_model_config(tiny_train_config(method=method), entries)
-            assert got == models.default_config("mini-mvit", head, (8, 8))
+            config = tiny_train_config(method=method, epochs=0)
+            run = training.run_experiment(tiny_corpus, config)
+            expected = models.default_config("mini-mvit", head, (8, 8))
+            assert run.model_config == run_settings(expected)
 
     def test_run_dir_artifacts(self, tiny_corpus, tmp_path, monkeypatch):
         trained = {}

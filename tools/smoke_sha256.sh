@@ -4,8 +4,12 @@
 # report.json and each run's predictions.json, config.txt, digest.txt and
 # fold<k>.ckpt, then one line for the smoke corpus: the sha256 of its
 # labels.csv followed by every .tvf clip in name order. Two checkouts that
-# print the same lines produce the same smoke outputs byte for byte. JOBS
-# (default 1) is passed to `train --jobs`.
+# print the same lines produce the same smoke outputs byte for byte. The
+# last line, `numbers`, hashes only the numbers: the canonical JSON of a
+# list of every run's `folds` (loss histories, logits, scores) in training
+# order, then report.json's `indirect` and `direct` sections. A change to
+# configs or provenance alone leaves it as it was. JOBS (default 1) is
+# passed to `train --jobs`.
 #
 #   tools/smoke_sha256.sh SRC OUT [JOBS]
 #
@@ -46,3 +50,15 @@ nascore eval --runs "$@" --out "$out/report.json"
 cd "$out"
 sha256sum report.json run_*/predictions.json run_*/config.txt run_*/digest.txt run_*/fold*.ckpt
 cat corpus/labels.csv corpus/*.tvf | sha256sum | sed 's/ -$/ corpus/'
+python - "$@" <<'EOF'
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+runs = [json.loads(Path(run, "predictions.json").read_text()) for run in sys.argv[1:]]
+report = json.loads(Path("report.json").read_text())
+numbers = [run["folds"] for run in runs] + [report["indirect"], report["direct"]]
+canonical = json.dumps(numbers, sort_keys=True, separators=(",", ":")).encode()
+print(f"{hashlib.sha256(canonical).hexdigest()}  numbers")
+EOF
