@@ -237,21 +237,6 @@ class _Linear:
         )
 
 
-@_register("reshape")
-class _Reshape:
-    @staticmethod
-    def forward(xs, attrs):
-        (a,) = xs
-        shape = tuple(attrs["shape"])
-        if int(np.prod(shape)) != a.size:
-            raise ShapeMismatch("reshape", f"{a.size} elements", f"shape {shape}")
-        return a.reshape(shape)
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        return (g.reshape(xs[0].shape),)
-
-
 @_register("permute")
 class _Permute:
     @staticmethod
@@ -451,87 +436,88 @@ class _PooledAttention:
         )
 
 
-def _conv_out(n, k, s, p):
-    return (n + 2 * p - k) // s + 1
-
-
-def _conv_cols(x, kh, kw, stride, padding, oh, ow):
-    """The (C*kh*kw, B*OH*OW) window matrix of x (C, B, H, W): row (c, u, v)
-    holds what tap (u, v) of channel c reads at every output position."""
-    (sh, sw), (ph, pw) = stride, padding
-    c, b, h, w = x.shape
+def _conv_cols(x, kernel, stride, padding, out):
+    """The (C*kt*kh*kw, B*OT*OH*OW) window matrix of x (C, B, T, H, W): row
+    (c, r, u, v) holds what tap (r, u, v) of channel c reads at every output
+    position."""
+    (kt, kh, kw), (st, sh, sw), (pt, ph, pw), (ot, oh, ow) = kernel, stride, padding, out
+    et, eh, ew = st * ot, sh * oh, sw * ow
+    c, b, t, h, w = x.shape
     xp = x
-    if ph or pw:
-        xp = np.zeros((c, b, h + 2 * ph, w + 2 * pw))
-        xp[:, :, ph : ph + h, pw : pw + w] = x
-    cols = np.empty((c, kh, kw, b, oh, ow))
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = xp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw]
-    return cols.reshape(c * kh * kw, b * oh * ow)
+    if pt or ph or pw:
+        xp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, w + 2 * pw))
+        xp[:, :, pt : pt + t, ph : ph + h, pw : pw + w] = x
+    cols = np.empty((c, kt, kh, kw, b, ot, oh, ow))
+    for r in range(kt):
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, r, u, v] = xp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw]
+    return cols.reshape(c * kt * kh * kw, b * ot * oh * ow)
 
 
 def _conv_input_grad(w, g, x_shape, stride, padding):
-    """Gradient of conv2d's input x (C, B, H, W) for the output gradient g
-    (O, B, OH, OW): each tap's (C, B, OH, OW) slice of w.T @ g adds onto
-    the strided input positions it read."""
-    o, c, kh, kw = w.shape
-    _, b, oh, ow = g.shape
-    (sh, sw), (ph, pw) = stride, padding
-    h, wd = x_shape[2], x_shape[3]
-    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, kh, kw, b, oh, ow)
-    gxp = np.zeros((c, b, h + 2 * ph, wd + 2 * pw))
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += taps[:, u, v]
-    return gxp[:, :, ph : ph + h, pw : pw + wd]
+    """Gradient of conv3d's input x (C, B, T, H, W) for the output gradient
+    g (O, B, OT, OH, OW): each tap's (C, B, OT, OH, OW) slice of w.T @ g
+    adds onto the strided input positions it read."""
+    o, c, kt, kh, kw = w.shape
+    _, b, ot, oh, ow = g.shape
+    (st, sh, sw), (pt, ph, pw) = stride, padding
+    et, eh, ew = st * ot, sh * oh, sw * ow
+    t, h, wd = x_shape[2:]
+    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, kt, kh, kw, b, ot, oh, ow)
+    gxp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, wd + 2 * pw))
+    for r in range(kt):
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw] += taps[:, r, u, v]
+    return gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
 
 
-@_register("conv2d")
-class _Conv2d:
-    """A conv layer, relu(conv + b): the cross-correlation of x (C, B, H, W)
-    with w (O, C, kh, kw), plus the bias b (O, 1, 1, 1), then ReLU, giving
-    (O, B, OH, OW). The layout is channel-major, so each pass is one matmul
-    with the unfolded window matrix (im2col) and no transpose: the forward
-    is w (O, C*kh*kw) @ cols, the weight gradient g (O, B*OH*OW) @ cols.T.
-    The forward returns only its output: the vjp masks g by out > 0 (the
-    ReLU's derivative, 0 at the kink), builds cols afresh and drops it
-    before the input gradient, which it skips when x needs none."""
+@_register("conv3d")
+class _Conv3d:
+    """A conv layer, relu(conv + b): the cross-correlation of the volume
+    x (C, B, T, H, W) with w (O, C, kt, kh, kw), plus the bias
+    b (O, 1, 1, 1, 1), then ReLU, giving (O, B, OT, OH, OW). The layout is
+    channel-major, so each pass is one matmul with the unfolded window
+    matrix (im2col) and no transpose: the forward is w (O, C*kt*kh*kw) @
+    cols, the weight gradient g (O, B*OT*OH*OW) @ cols.T. The forward
+    returns only its output: the vjp masks g by out > 0 (the ReLU's
+    derivative, 0 at the kink), builds cols afresh and drops it before the
+    input gradient, which it skips when x needs none."""
 
     @staticmethod
     def forward(xs, attrs):
         x, w, b = xs
-        if x.ndim != 4 or w.ndim != 4:
-            raise ShapeMismatch("conv2d", "(C,B,H,W) and (O,C,kh,kw)", f"{x.shape}, {w.shape}")
+        if x.ndim != 5 or w.ndim != 5:
+            raise ShapeMismatch("conv3d", "(C,B,T,H,W) and (O,C,kt,kh,kw)", f"{x.shape}, {w.shape}")
         if x.shape[0] != w.shape[1]:
-            raise ShapeMismatch("conv2d", f"{w.shape[1]} input channels", f"{x.shape[0]}")
-        o, _, kh, kw = w.shape
-        if b.shape != (o, 1, 1, 1):
-            raise ShapeMismatch("conv2d", f"bias of shape {(o, 1, 1, 1)}", f"{b.shape}")
-        sh, sw = attrs["stride"]
-        ph, pw = attrs["padding"]
-        oh, ow = _conv_out(x.shape[2], kh, sh, ph), _conv_out(x.shape[3], kw, sw, pw)
-        if oh <= 0 or ow <= 0:
-            raise ShapeMismatch("conv2d", "positive output extent", f"{oh}x{ow}")
-        cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], oh, ow)
-        out = (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], oh, ow)
-        out += b
-        return np.maximum(out, 0.0, out=out)
+            raise ShapeMismatch("conv3d", f"{w.shape[1]} input channels", f"{x.shape[0]}")
+        o = w.shape[0]
+        if b.shape != (o, 1, 1, 1, 1):
+            raise ShapeMismatch("conv3d", f"bias of shape {(o, 1, 1, 1, 1)}", f"{b.shape}")
+        stride, padding = attrs["stride"], attrs["padding"]
+        dims = zip(x.shape[2:], w.shape[2:], stride, padding)
+        out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in dims)
+        if min(out) <= 0:
+            raise ShapeMismatch("conv3d", "positive output extent", "x".join(map(str, out)))
+        cols = _conv_cols(x, w.shape[2:], stride, padding, out)
+        y = (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], *out)
+        y += b
+        return np.maximum(y, 0.0, out=y)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
         (x, w, _), (nx, nw, nb) = xs, attrs["needs"]
-        o, _, kh, kw = w.shape
         g = g * (out > 0.0)
         gw = None
         if nw:
-            cols = _conv_cols(x, kh, kw, attrs["stride"], attrs["padding"], g.shape[2], g.shape[3])
-            gw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+            cols = _conv_cols(x, w.shape[2:], attrs["stride"], attrs["padding"], g.shape[2:])
+            gw = (g.reshape(len(w), -1) @ cols.T).reshape(w.shape)
             del cols
         return (
             _conv_input_grad(w, g, x.shape, attrs["stride"], attrs["padding"]) if nx else None,
             gw,
-            g.sum(axis=(1, 2, 3), keepdims=True) if nb else None,
+            g.sum(axis=(1, 2, 3, 4), keepdims=True) if nb else None,
         )
 
 
@@ -894,8 +880,9 @@ def grad_check(kind, shapes, seed, attrs=None):
 GRADCHECK_SUITE = (
     ("add", ((3, 4), (3, 4)), None),
     ("add", ((3, 4), (4,)), None),
-    # a one-channel clip through a first conv, as both conv models start
-    ("conv2d", ((1, 2, 6, 5), (3, 1, 3, 3), (3, 1, 1, 1)), {"stride": (2, 2), "padding": (1, 1)}),
+    # a one-channel clip through a first 1x3x3 conv, as both conv models start
+    ("conv3d", ((1, 2, 3, 6, 5), (3, 1, 1, 3, 3), (3, 1, 1, 1, 1)),
+     {"stride": (1, 2, 2), "padding": (0, 1, 1)}),
     ("multiply", ((3, 4), (3, 4)), None),
     # attention with fewer key/value tokens than queries, as after kv pooling
     ("pooled_attention", ((2, 6, 4), (2, 3, 4), (2, 3, 4)), {"heads": 2}),
@@ -903,7 +890,8 @@ GRADCHECK_SUITE = (
     # (B, N, C) tokens, and patchify's (B, T, H, W, patch) rows
     ("linear", ((2, 3, 4), (4, 2), (2,)), None),
     ("linear", ((2, 2, 1, 3, 4), (4, 3), (3,)), None),
-    ("reshape", ((2, 6),), {"shape": (3, 4)}),
+    # micro-cnn-rnn's (C, B, T) frame features to (B, T, C)
+    ("permute", ((2, 3, 4),), {"axes": (1, 2, 0)}),
     ("permute", ((2, 3, 4),), {"axes": (2, 0, 1)}),
     # mini-mvit's (B, T, H, W, C) token grid
     ("layer_norm", ((2, 2, 3, 2, 5), (5,), (5,)), None),
@@ -916,9 +904,12 @@ GRADCHECK_SUITE = (
     ("pooled_attention", ((1, 4, 6), (1, 4, 6), (1, 4, 6)), {"heads": 3}),
     ("layer_norm", ((4,), (4,), (4,)), None),
     ("layer_norm", ((2, 5), (5,), (5,)), None),
-    ("conv2d", ((2, 2, 5, 5), (3, 2, 3, 3), (3, 1, 1, 1)), {"stride": (2, 2), "padding": (1, 1)}),
-    # a 1x3 kernel over a (1, T) grid
-    ("conv2d", ((2, 2, 1, 7), (3, 2, 1, 3), (3, 1, 1, 1)), {"stride": (1, 2), "padding": (0, 1)}),
+    # a full 3x3x3 kernel, strided and padded on every axis
+    ("conv3d", ((2, 2, 5, 4, 5), (3, 2, 3, 3, 3), (3, 1, 1, 1, 1)),
+     {"stride": (2, 2, 2), "padding": (1, 1, 1)}),
+    # a 1x1x3 kernel over a (1, 1, W) volume
+    ("conv3d", ((2, 2, 1, 1, 7), (3, 2, 1, 1, 3), (3, 1, 1, 1, 1)),
+     {"stride": (1, 1, 2), "padding": (0, 0, 1)}),
     ("avg_pool", ((2, 5, 3),), {"stride": (2,)}),
     ("avg_pool", ((2, 5, 4, 3),), {"stride": (2, 2)}),
     ("avg_pool", ((2, 3, 5, 4, 2),), {"stride": (2, 2, 2)}),
@@ -930,8 +921,9 @@ GRADCHECK_SUITE = (
     ("cross_entropy_logits", ((3, 5),), {"targets": (0, 4, 2)}),
     # a positional table added to every batch item, as patchify does
     ("add", ((2, 3, 4, 5), (3, 4, 5)), None),
-    # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W), odd T
-    ("conv2d", ((2, 2, 7, 3), (3, 2, 3, 1), (3, 1, 1, 1)), {"stride": (2, 1), "padding": (1, 0)}),
+    # micro-r2plus1d's temporal 3x1x1 conv at stride 2 over an odd T
+    ("conv3d", ((2, 2, 7, 2, 3), (3, 2, 3, 1, 1), (3, 1, 1, 1, 1)),
+     {"stride": (2, 1, 1), "padding": (1, 0, 0)}),
     # grid-shaped queries over keys and values pooled to a coarser grid
     ("pooled_attention", ((2, 2, 3, 2, 4), (2, 1, 2, 1, 4), (2, 1, 2, 1, 4)), {"heads": 2}),
 )
@@ -952,10 +944,6 @@ def linear(x, w, b):
     return apply("linear", (x, w, b))
 
 
-def reshape(a, shape):
-    return apply("reshape", (a,), {"shape": tuple(shape)})
-
-
 def permute(a, axes):
     return apply("permute", (a,), {"axes": tuple(axes)})
 
@@ -972,8 +960,8 @@ def layer_norm(x, gain, shift, epsilon=1e-5):
     return apply("layer_norm", (x, gain, shift), {"epsilon": epsilon})
 
 
-def conv2d(x, w, b, stride, padding):
-    return apply("conv2d", (x, w, b), {"stride": tuple(stride), "padding": tuple(padding)})
+def conv3d(x, w, b, stride, padding):
+    return apply("conv3d", (x, w, b), {"stride": tuple(stride), "padding": tuple(padding)})
 
 
 def gru(xz, xr, xn, whz, whr, whn):

@@ -8,19 +8,18 @@ channel width. Keys and values are pooled by MViT's adaptive stride:
 in each stage before it, so every block attends to the same K/V grid. Each
 block pools its normalized input before the Q/K/V linears run, which
 averaging makes the same function as projecting, then pooling.
-micro-r2plus1d: factorized blocks of 2D spatial convolution then
-temporal convolution, the latter a 3x1 conv2d over (T, H*W), so every
-pixel's frames at once. micro-cnn-rnn: a shared 2D conv encoder per frame
-feeding a gated recurrent cell.
+micro-r2plus1d: R(2+1)D blocks, each 3D convolution factorized into a
+1x3x3 spatial conv and a 3x1x1 temporal conv. micro-cnn-rnn: a 1x3x3 conv
+encoder, so a 2D conv of each frame, feeding a gated recurrent cell.
 
 Each layer is one autodiff op: a dense layer is ``linear``, a norm with
 its gain and shift is ``layer_norm``, and every convolution, which these
-models always follow by its bias and then ReLU, is ``conv2d``. The
+models always follow by its bias and then ReLU, is ``conv3d``. The
 recurrent cell is one ``gru`` over all frames, fed by one ``linear`` per
-gate that projects every frame at once. The conv models keep their
-activations channel-major, (C, B*T, H, W), as conv2d takes and gives
-them, so no block permutes its activations; only the head (r2plus1d) or
-the recurrent cell's input (cnn-rnn) turns (C, B) features into (B, C).
+gate that projects every frame at once. The conv models pass one
+channel-major (C, B, T, H, W) volume from the clip to their head, as
+conv3d takes and gives it; only the head (r2plus1d) or the recurrent
+cell's input (cnn-rnn) permutes the pooled features to batch-first.
 
 All variants end in the same head, ReLU then dense. mini-mvit and
 micro-r2plus1d feed it the mean over their token or space-time axes;
@@ -136,6 +135,8 @@ class MvitConfig(ModelConfig):
             raise ConfigError(
                 f"temporal patch stride {self.patch_stride[0]} must divide {N_FRAMES}"
             )
+        if any(s > n for s, n in zip(self.patch_stride[1:], self.frame_hw)):
+            raise ConfigError(f"patch stride {self.patch_stride} exceeds frame_hw {self.frame_hw}")
         for i, dim in enumerate(self.embed_dims):
             if dim % self.attention_heads != 0:
                 raise ConfigError(
@@ -199,9 +200,9 @@ class _Init:
         self.params[f"{name}.w"] = ad.tensor(
             self.rng.uniform(-bound, bound, size=shape), requires_grad=True
         )
-        # conv2d is channel-major, (O, B, OH, OW), so the bias broadcasts
-        # from (O, 1, 1, 1)
-        self.params[f"{name}.b"] = ad.tensor(np.zeros((shape[0], 1, 1, 1)), requires_grad=True)
+        # conv3d is channel-major, (O, B, OT, OH, OW), so the bias
+        # broadcasts from (O, 1, 1, 1, 1)
+        self.params[f"{name}.b"] = ad.tensor(np.zeros((shape[0], 1, 1, 1, 1)), requires_grad=True)
 
     def norm(self, name, dim):
         self.params[f"{name}.g"] = ad.tensor(np.ones(dim), requires_grad=True)
@@ -280,8 +281,8 @@ def _init_mvit(init, config):
 def _init_r2plus1d(init, config):
     c_in = 1
     for i, c in enumerate(config.embed_dims):
-        init.conv(f"b{i}.spatial", (c, c_in, 3, 3))
-        init.conv(f"b{i}.temporal", (c, c, 3, 1))
+        init.conv(f"b{i}.spatial", (c, c_in, 1, 3, 3))
+        init.conv(f"b{i}.temporal", (c, c, 3, 1, 1))
         c_in = c
     init.linear("head", c_in, HEADS[config.head])
 
@@ -289,7 +290,7 @@ def _init_r2plus1d(init, config):
 def _init_cnn_rnn(init, config):
     c_in = 1
     for i, c in enumerate(config.embed_dims):
-        init.conv(f"enc{i}", (c, c_in, 3, 3))
+        init.conv(f"enc{i}", (c, c_in, 1, 3, 3))
         c_in = c
     feat = c_in
     hid = config.hidden_size
@@ -307,7 +308,7 @@ def _dense(params, name, x):
 
 
 def _conv_relu(params, name, x, stride, padding):
-    return ad.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=padding)
+    return ad.conv3d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=padding)
 
 
 def _affine_norm(params, name, x):
@@ -324,15 +325,11 @@ def patchify(frames, stride, weight, bias, pos_table):
     (B, T', H', W', C) token grid. The clip needs no gradient, so its
     patch rows are cut in numpy, outside the graph.
 
-    frames: (B, T, H, W) with T divisible by the temporal stride; spatial
-    extents are zero-padded up to stride multiples (ceil-mode grid).
+    frames: (B, T, H, W), with the strides ``MvitConfig.validate`` admits;
+    spatial extents are zero-padded up to stride multiples (ceil-mode grid).
     """
     b, t, h, w = frames.shape
     pt, ph, pw = stride
-    if t % pt != 0:
-        raise GeometryError(f"temporal stride {pt} must divide frame count {t}")
-    if ph > h or pw > w:
-        raise GeometryError(f"patch stride {stride} exceeds input extent {(t, h, w)}")
     gt, gh, gw = t // pt, _ceil_div(h, ph), _ceil_div(w, pw)
     padded = np.zeros((b, t, gh * ph, gw * pw))
     padded[:, :, :h, :w] = frames.data
@@ -393,41 +390,35 @@ def _forward_mvit(params, x, config, capture):
     return _dense(params, "head", ad.relu(pooled))
 
 
+def _clip_volume(x):
+    """The (B, T, H, W) clip as the one-channel volume (1, B, T, H, W); it
+    needs no gradient, so it enters the graph as a leaf."""
+    return ad.tensor(x.data[None])
+
+
 def _forward_r2plus1d(params, x, config, capture):
-    # activations stay channel-major: (C, B*T, H, W) for the spatial convs
-    # and, by a free reshape, (C, B, T, H*W) for the temporal ones
-    b, t, h, w = x.shape
-    cur, c_in = x, 1
-    for i, c in enumerate(config.embed_dims):
-        cur = ad.reshape(cur, (c_in, b * t, h, w))
-        cur = _conv_relu(params, f"b{i}.spatial", cur, stride=(2, 2), padding=(1, 1))
-        h, w = cur.shape[2], cur.shape[3]
-        # a 3x1 kernel over (T, H*W): every pixel's frames in one conv
-        cur = ad.reshape(cur, (c, b, t, h * w))
+    cur = _clip_volume(x)
+    for i in range(len(config.embed_dims)):
+        cur = _conv_relu(params, f"b{i}.spatial", cur, stride=(1, 2, 2), padding=(0, 1, 1))
         s = 1 if i == 0 else 2
-        cur = _conv_relu(params, f"b{i}.temporal", cur, stride=(s, 1), padding=(1, 0))
-        t = cur.shape[2]
+        cur = _conv_relu(params, f"b{i}.temporal", cur, stride=(s, 1, 1), padding=(1, 0, 0))
         if capture is not None:
-            capture.append(((t, h, w), c))
-        c_in = c
-    pooled = ad.permute(ad.mean(cur, axes=(2, 3)), (1, 0))
+            capture.append((cur.shape[2:], cur.shape[0]))
+    pooled = ad.permute(ad.mean(cur, axes=(2, 3, 4)), (1, 0))
     return _dense(params, "head", ad.relu(pooled))
 
 
 def _forward_cnn_rnn(params, x, config, capture):
-    b, t, h, w = x.shape
-    # every frame through the encoder at once, channel-major (C, B*T, H, W)
-    cur = ad.reshape(x, (1, b * t, h, w))
+    cur = _clip_volume(x)
     for i in range(len(config.embed_dims)):
-        cur = _conv_relu(params, f"enc{i}", cur, stride=(2, 2), padding=(1, 1))
-    feat_dim = cur.shape[0]
-    feats = ad.permute(ad.mean(cur, axes=(2, 3)), (1, 0))
-    feats = ad.reshape(feats, (b, t, feat_dim))
+        cur = _conv_relu(params, f"enc{i}", cur, stride=(1, 2, 2), padding=(0, 1, 1))
+    # each frame's spatial mean, (C, B, T) -> (B, T, C)
+    feats = ad.permute(ad.mean(cur, axes=(3, 4)), (1, 2, 0))
     # each gate's input projection runs over all T frames as one linear
     xz, xr, xn = (_dense(params, f"gru.x{gate}", feats) for gate in "zrn")
     h_state = ad.gru(xz, xr, xn, *(params[f"gru.h{gate}.w"] for gate in "zrn"))
     if capture is not None:
-        capture.append(((t,), config.hidden_size))
+        capture.append(((x.shape[1],), config.hidden_size))
     return _dense(params, "head", ad.relu(h_state))
 
 

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from nascore import autodiff as ad
 
+# a 1x3x3 conv's stride and padding, as both conv models' spatial convs use
+CONV_ATTRS = {"stride": (1, 2, 2), "padding": (0, 1, 1)}
+
 
 def finite_difference(fn, arrays, idx, step=1e-5):
     """Independent central-difference gradient of scalar fn w.r.t. arrays[idx]."""
@@ -71,55 +74,55 @@ def assert_attention_matches_reference(q, k, v, g, heads):
         np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-12)
 
 
-def conv2d_reference(x, w, g, stride, padding):
-    """Output of conv2d and the gradients of sum(out * g), as a plain loop
-    over output positions and kernel taps, batch-first: x (B, C, H, W)
-    and out, g (B, O, OH, OW)."""
-    (sh, sw), (ph, pw) = stride, padding
-    b, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh, ow = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
-    out = np.zeros((b, o, oh, ow))
+def conv3d_reference(x, w, g, stride, padding):
+    """Output of conv3d and the gradients of sum(out * g), as a plain loop
+    over output positions and the three kernel tap axes, batch-first:
+    x (B, C, T, H, W) and out, g (B, O, OT, OH, OW)."""
+    b = x.shape[0]
+    o, _, *kernel = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
+    outs = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x.shape[2:], kernel, stride, padding)]
+    out = np.zeros((b, o, *outs))
     gxp, gw = np.zeros_like(xp), np.zeros_like(w)
-    for i in range(oh):
-        for j in range(ow):
-            for u in range(kh):
-                for v in range(kw):
-                    pixel = xp[:, :, i * sh + u, j * sw + v]  # (B, C)
-                    out[:, :, i, j] += pixel @ w[:, :, u, v].T
-                    gw[:, :, u, v] += g[:, :, i, j].T @ pixel
-                    gxp[:, :, i * sh + u, j * sw + v] += g[:, :, i, j] @ w[:, :, u, v]
-    return out, gxp[:, :, ph : ph + h, pw : pw + wd], gw
+    for i, j, l in np.ndindex(*outs):
+        for r, u, v in np.ndindex(*kernel):
+            at = (i * stride[0] + r, j * stride[1] + u, l * stride[2] + v)
+            pixel = xp[(slice(None), slice(None), *at)]  # (B, C)
+            out[:, :, i, j, l] += pixel @ w[:, :, r, u, v].T
+            gw[:, :, r, u, v] += g[:, :, i, j, l].T @ pixel
+            gxp[(slice(None), slice(None), *at)] += g[:, :, i, j, l] @ w[:, :, r, u, v]
+    inner = tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))
+    return out, gxp[(slice(None), slice(None), *inner)], gw
 
 
-def assert_conv2d_matches_loop_reference(x_shape, w_shape, stride, padding):
-    """conv2d (conv, bias, ReLU) and its vjp against the batch-first loop
-    reference with the bias and ReLU applied around it, with x (B, C, H, W)
-    and g transposed into and out of the channel-major op."""
+def assert_conv3d_matches_loop_reference(x_shape, w_shape, stride, padding):
+    """conv3d (conv, bias, ReLU) and its vjp against the batch-first loop
+    reference with the bias and ReLU applied around it, with
+    x (B, C, T, H, W) and g transposed into and out of the channel-major op."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
     b = rng.standard_normal(w_shape[0])
-    tx = ad.tensor(x.transpose(1, 0, 2, 3), requires_grad=True)
+    swap = (1, 0, 2, 3, 4)
+    tx = ad.tensor(x.transpose(swap), requires_grad=True)
     tw = ad.tensor(w, requires_grad=True)
-    tb = ad.tensor(b.reshape(-1, 1, 1, 1), requires_grad=True)
-    out = ad.conv2d(tx, tw, tb, stride, padding)
+    tb = ad.tensor(b.reshape(-1, 1, 1, 1, 1), requires_grad=True)
+    out = ad.conv3d(tx, tw, tb, stride, padding)
     g = rng.standard_normal(out.shape)
     gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
     got = (
-        out.data.transpose(1, 0, 2, 3),
-        gmap[tx.node_id].data.transpose(1, 0, 2, 3),
+        out.data.transpose(swap),
+        gmap[tx.node_id].data.transpose(swap),
         gmap[tw.node_id].data,
         gmap[tb.node_id].data.reshape(-1),
     )
-    g = g.transpose(1, 0, 2, 3)
-    conv, _, _ = conv2d_reference(x, w, g, stride, padding)
-    pre = conv + b[:, None, None]
+    g = g.transpose(swap)
+    conv, _, _ = conv3d_reference(x, w, g, stride, padding)
+    pre = conv + b[:, None, None, None]
     # the ReLU passes the output gradient where the pre-activation is positive
     g_pre = g * (pre > 0.0)
-    _, gx, gw = conv2d_reference(x, w, g_pre, stride, padding)
-    expected = (np.maximum(pre, 0.0), gx, gw, g_pre.sum(axis=(0, 2, 3)))
+    _, gx, gw = conv3d_reference(x, w, g_pre, stride, padding)
+    expected = (np.maximum(pre, 0.0), gx, gw, g_pre.sum(axis=(0, 2, 3, 4)))
     for a, ref in zip(got, expected):
         np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
 
@@ -217,34 +220,34 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, expected)
 
     def test_conv2d_ones(self):
-        # 3x3 ones convolved with a 2x2 ones kernel: every window sums 4,
-        # and the bias of -1 leaves 3 after the ReLU
-        x = ad.tensor(np.ones((1, 1, 3, 3)))
-        w = ad.tensor(np.ones((1, 1, 2, 2)))
-        b = ad.tensor(np.full((1, 1, 1, 1), -1.0))
-        out = ad.conv2d(x, w, b, stride=(1, 1), padding=(0, 0))
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 3.0))
+        # a 3x3 frame of ones convolved with a 1x2x2 kernel of ones: every
+        # window sums 4, and the bias of -1 leaves 3 after the ReLU
+        x = ad.tensor(np.ones((1, 1, 1, 3, 3)))
+        w = ad.tensor(np.ones((1, 1, 1, 2, 2)))
+        b = ad.tensor(np.full((1, 1, 1, 1, 1), -1.0))
+        out = ad.conv3d(x, w, b, stride=(1, 1, 1), padding=(0, 0, 0))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 1, 2, 2), 3.0))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_height_one_conv2d_is_1d_correlation(self, stride):
-        # a 1xk kernel over a (1, T) grid; conv2d is channel-major, so x goes
-        # in as (C, B, 1, T) and the output comes back as (O, B, 1, T'),
-        # through a zero bias and the ReLU
+        # a 1x1xk kernel over a one-frame (1, 1, T) volume; conv3d is
+        # channel-major, so x goes in as (C, B, 1, 1, T) and the output comes
+        # back as (O, B, 1, 1, T'), through a zero bias and the ReLU
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 1, 7))
-        w = rng.standard_normal((4, 3, 1, 3))
-        tx = ad.tensor(x.transpose(1, 0, 2, 3))
-        b = ad.tensor(np.zeros((4, 1, 1, 1)))
-        out = ad.conv2d(tx, ad.tensor(w), b, stride=(1, stride), padding=(0, 1)).data
-        out = out.transpose(1, 0, 2, 3)
-        xp = np.pad(x[:, :, 0], ((0, 0), (0, 0), (1, 1)))
+        x = rng.standard_normal((2, 3, 1, 1, 7))
+        w = rng.standard_normal((4, 3, 1, 1, 3))
+        tx = ad.tensor(x.transpose(1, 0, 2, 3, 4))
+        b = ad.tensor(np.zeros((4, 1, 1, 1, 1)))
+        out = ad.conv3d(tx, ad.tensor(w), b, stride=(1, 1, stride), padding=(0, 0, 1)).data
+        out = out.transpose(1, 0, 2, 3, 4)[:, :, 0]
+        xp = np.pad(x[:, :, 0, 0], ((0, 0), (0, 0), (1, 1)))
         n_out = (7 + 2 - 3) // stride + 1
         expected = np.zeros((2, 4, n_out))
         for b in range(2):
             for o in range(4):
                 for j in range(n_out):
                     window = xp[b, :, j * stride : j * stride + 3]
-                    expected[b, o, j] = max(np.sum(window * w[o, :, 0]), 0.0)
+                    expected[b, o, j] = max(np.sum(window * w[o, :, 0, 0]), 0.0)
         assert out.shape == (2, 4, 1, n_out)
         np.testing.assert_allclose(out[:, :, 0], expected, rtol=1e-12, atol=1e-12)
 
@@ -318,13 +321,32 @@ class TestForwardValues:
     @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (0, 1)], ids=str)
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)], ids=str)
     def test_conv2d_matches_loop_reference(self, stride, padding, kernel):
-        assert_conv2d_matches_loop_reference((2, 3, 5, 7), (4, 3, *kernel), stride, padding)
+        # a 1 x kh x kw kernel convolves each of three frames in 2D, with
+        # the (H, W) stride and padding of the case
+        assert_conv3d_matches_loop_reference(
+            (2, 3, 3, 5, 7), (4, 3, 1, *kernel), (1, *stride), (0, *padding)
+        )
 
     @pytest.mark.parametrize("frames", [7, 8])
     def test_temporal_conv2d_matches_loop_reference(self, frames):
-        # micro-r2plus1d's temporal conv: a 3x1 kernel over (T, H*W) at
-        # stride (2, 1), padding (1, 0); an odd T leaves a ragged last window
-        assert_conv2d_matches_loop_reference((2, 3, frames, 6), (4, 3, 3, 1), (2, 1), (1, 0))
+        # micro-r2plus1d's temporal conv: a 3x1x1 kernel at stride (2, 1, 1),
+        # padding (1, 0, 0); an odd T leaves a ragged last window
+        assert_conv3d_matches_loop_reference(
+            (2, 3, frames, 2, 3), (4, 3, 3, 1, 1), (2, 1, 1), (1, 0, 0)
+        )
+
+    @pytest.mark.parametrize("stride,padding", [
+        ((2, 2, 2), (1, 1, 1)), ((2, 1, 2), (1, 1, 0)), ((1, 2, 3), (2, 0, 1)),
+    ], ids=str)
+    @pytest.mark.parametrize("frames", [7, 8])
+    @pytest.mark.parametrize(
+        "kernel", [(1, 3, 3), (3, 1, 1), (3, 3, 3)], ids=["1x3x3", "3x1x1", "3x3x3"]
+    )
+    def test_conv3d_matches_loop_reference(self, kernel, frames, stride, padding):
+        # stride and padding on every axis, over odd and even T
+        assert_conv3d_matches_loop_reference(
+            (2, 3, frames, 5, 6), (4, 3, *kernel), stride, padding
+        )
 
 
 class TestErrors:
@@ -344,14 +366,24 @@ class TestErrors:
         ("linear", ((4, 3), (3, 2), (3,)), None, r"bias of shape \(2,\)"),
         ("layer_norm", ((2, 5), (4,), (5,)), None, r"\(C,\) gain and shift"),
         ("layer_norm", ((2, 5), (5,), (1, 5)), None, r"\(C,\) gain and shift"),
-        ("conv2d", ((2, 1, 5, 5), (3, 2, 3, 3), (3,)), {"stride": (1, 1), "padding": (1, 1)},
-         r"bias of shape \(3, 1, 1, 1\)"),
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3,)), CONV_ATTRS,
+         r"bias of shape \(3, 1, 1, 1, 1\)"),
+        ("conv3d", ((2, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)), CONV_ATTRS,
+         r"\(C,B,T,H,W\) and \(O,C,kt,kh,kw\)"),
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 3, 3), (3, 1, 1, 1, 1)), CONV_ATTRS,
+         r"\(C,B,T,H,W\) and \(O,C,kt,kh,kw\)"),
+        ("conv3d", ((3, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)), CONV_ATTRS,
+         r"2 input channels"),
+        # a 3x1x1 kernel over one unpadded frame leaves no output frame
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 3, 1, 1), (3, 1, 1, 1, 1)),
+         {"stride": (1, 1, 1), "padding": (0, 0, 0)}, r"positive output extent.*-1x5x5"),
         ("gru", ((2, 4, 3), (2, 4, 3), (2, 3, 3), (3, 3), (3, 3), (3, 3)), None,
          r"three \(B, T, H\) input projections"),
         ("gru", ((2, 4, 3), (2, 4, 3), (2, 4, 3), (3, 3), (3, 2), (3, 3)), None,
          r"\(3, 3\) recurrent weights"),
     ], ids=["linear-rank", "linear-width", "linear-bias", "layer_norm-gain", "layer_norm-shift",
-            "conv2d-bias", "gru-inputs", "gru-weights"])
+            "conv3d-bias", "conv3d-input-rank", "conv3d-weight-rank", "conv3d-channels",
+            "conv3d-extent", "gru-inputs", "gru-weights"])
     def test_fused_op_shapes(self, kind, shapes, attrs, expected):
         with pytest.raises(ad.ShapeMismatch, match=expected):
             ad.apply(kind, [ad.tensor(np.ones(s)) for s in shapes], attrs)
@@ -459,10 +491,11 @@ class TestBackward:
         np.testing.assert_array_equal(gmap[y.node_id].data, [1.0, 2.0])
 
     def test_conv2d_builds_no_input_gradient_x_does_not_need(self, monkeypatch):
-        # the clip at a model's first conv needs no gradient: backward says
-        # so through the vjp's attrs["needs"], and the taps are never scattered
+        # the clip at a model's first (1x3x3, so 2D) conv needs no gradient:
+        # backward says so through the vjp's attrs["needs"], and the taps
+        # are never scattered
         needs, scatters = [], []
-        vjp, scatter = ad._Conv2d.vjp, ad._conv_input_grad
+        vjp, scatter = ad._Conv3d.vjp, ad._conv_input_grad
 
         def spy_vjp(g, xs, out, attrs):
             needs.append(attrs["needs"])
@@ -472,19 +505,19 @@ class TestBackward:
             scatters.append(args)
             return scatter(*args)
 
-        monkeypatch.setattr(ad._Conv2d, "vjp", staticmethod(spy_vjp))
+        monkeypatch.setattr(ad._Conv3d, "vjp", staticmethod(spy_vjp))
         monkeypatch.setattr(ad, "_conv_input_grad", spy_scatter)
         rng = np.random.default_rng(13)
-        x = ad.tensor(rng.standard_normal((2, 3, 5, 5)))
-        w = ad.tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
-        b = ad.tensor(np.zeros((4, 1, 1, 1)))
-        gmap = ad.backward(ad.sum_(ad.conv2d(x, w, b, (2, 2), (1, 1))))
+        x = ad.tensor(rng.standard_normal((2, 3, 2, 5, 5)))
+        w = ad.tensor(rng.standard_normal((4, 2, 1, 3, 3)), requires_grad=True)
+        b = ad.tensor(np.zeros((4, 1, 1, 1, 1)))
+        gmap = ad.backward(ad.sum_(ad.conv3d(x, w, b, (1, 2, 2), (0, 1, 1))))
         assert needs == [(False, True, False)] and scatters == []
         assert set(gmap) == {w.node_id}
         # grad_check asks for every input, so it still checks the scatter
-        attrs = {"stride": (2, 2), "padding": (1, 1)}
-        shapes = ((2, 2, 5, 5), (3, 2, 3, 3), (3, 1, 1, 1))
-        report = ad.grad_check("conv2d", shapes, seed=0, attrs=attrs)
+        attrs = {"stride": (1, 2, 2), "padding": (0, 1, 1)}
+        shapes = ((2, 2, 2, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1))
+        report = ad.grad_check("conv3d", shapes, seed=0, attrs=attrs)
         assert needs[1:] == [(True, True, True)] and len(scatters) == 1
         assert report.max_rel_err < 1e-4
 
@@ -613,11 +646,12 @@ class TestProperties:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_reshape_permute_round_trip(self, seed):
+    def test_permute_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 3, 4))
         t = ad.tensor(x)
         back = ad.permute(ad.permute(t, (1, 2, 0)), (2, 0, 1))
         np.testing.assert_array_equal(back.data, x)
-        again = ad.reshape(ad.reshape(t, (6, 4)), (2, 3, 4))
-        np.testing.assert_array_equal(again.data, x)
+        volume = rng.standard_normal((2, 3, 4, 1, 5))
+        again = ad.permute(ad.permute(ad.tensor(volume), (1, 0, 4, 2, 3)), (1, 0, 3, 4, 2))
+        np.testing.assert_array_equal(again.data, volume)

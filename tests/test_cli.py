@@ -285,7 +285,7 @@ class TestTrain:
         code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
                        "--method", "direct", "--config", config, "--out", out)
         assert code == 1
-        assert capsys.readouterr().err == "error: non-finite values in conv2d output\n"
+        assert capsys.readouterr().err == "error: non-finite values in conv3d output\n"
         assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()
 
@@ -438,6 +438,33 @@ class TestTrain:
                        "--method", "direct", "--config", config, "--out", out)
         assert code == 1
         assert capsys.readouterr().err == "error: k=100 exceeds corpus size 16\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus_geometry, line, stride, frame_hw", [
+        # mvit's default (2, 4, 4) patch on 2x3 frames
+        ("3x2", "", "(2, 4, 4)", "(2, 3)"),
+        (None, "patch_stride = 2,16,4\n", "(2, 16, 4)", "(8, 8)"),
+    ])
+    def test_patch_wider_than_frames_fails_before_reading_clips(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch, corpus_geometry, line, stride, frame_hw
+    ):
+        _, prepared, _ = mini_pipeline
+        if corpus_geometry is not None:
+            corpus, prepared = tmp_path / "corpus", tmp_path / "prepared.csv"
+            assert run_cli("synth", "--out", corpus, "--seed", 0, "--smoke",
+                           "--geometry", corpus_geometry) == 0
+            assert run_cli("prep", "--corpus", corpus, "--out", prepared,
+                           "--min-count", 1) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = 1\nfolds = 2\n{line}")
+        out = tmp_path / "run"
+        code = run_cli("train", "--manifest", prepared, "--model", "mvit",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        expected = f"error: patch stride {stride} exceeds frame_hw {frame_hw}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, line, flag", [

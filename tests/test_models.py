@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -169,12 +170,15 @@ class TestPatchify:
         np.testing.assert_array_equal(grid.data, np.broadcast_to(covered[..., None], grid.shape))
 
     def test_stride_exceeds_input(self):
-        frames = ad.tensor(np.ones((1, 16, 4, 4)))
-        w = ad.tensor(np.ones((2 * 8 * 8, 3)))
-        with pytest.raises(models.GeometryError, match="exceeds"):
-            models.patchify(
-                frames, (2, 8, 8), w, ad.tensor(np.zeros((3,))), ad.tensor(np.zeros((8, 1, 1, 3)))
-            )
+        # the config rejects a patch taller or wider than the frame before
+        # any model is built or clip read, naming the stride and frame size
+        for stride in ((2, 8, 4), (2, 4, 8)):
+            config = models.MvitConfig(models.CLASSIFY_HEAD, (4, 6), patch_stride=stride)
+            message = re.escape(f"patch stride {stride} exceeds frame_hw (4, 6)")
+            with pytest.raises(models.ConfigError, match=message):
+                config.validate()
+        # a stride equal to the frame is one patch per axis
+        models.MvitConfig(models.CLASSIFY_HEAD, (4, 6), patch_stride=(2, 4, 6)).validate()
 
 
 class TestPoolingAttention:
@@ -354,16 +358,18 @@ class TestForward:
 
     @pytest.mark.parametrize("variant,convs", [("micro-r2plus1d", 6), ("micro-cnn-rnn", 2)])
     def test_conv_models_permute_only_their_features(self, monkeypatch, variant, convs):
-        # conv2d is channel-major, so activations pass between convs by free
-        # reshapes; the one permute turns the (C, B) features into (B, C)
+        # conv3d takes and gives one channel-major (C, B, T, H, W) volume, so
+        # the convs pass it on as it is; the one permute turns the pooled
+        # features batch-first
         kinds = forward_op_kinds(monkeypatch, variant)
         assert kinds.count("permute") == 1
-        assert kinds.count("conv2d") == convs
+        assert kinds.count("conv3d") == convs
+        assert kinds[:convs] == ["conv3d"] * convs
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_each_layer_is_one_op(self, monkeypatch, variant):
         # a dense layer is one linear, a norm one layer_norm, a conv with its
-        # bias and ReLU one conv2d and the recurrence one gru, so un-fusing
+        # bias and ReLU one conv3d and the recurrence one gru, so un-fusing
         # any of them changes these counts
         kinds = forward_op_kinds(monkeypatch, variant)
         if variant == "mini-mvit":
@@ -375,10 +381,20 @@ class TestForward:
         elif variant == "micro-r2plus1d":
             # only the head's ReLU stands alone
             assert kinds.count("relu") == 1 and kinds.count("linear") == 1
-            assert len(kinds) == 16
+            assert len(kinds) == 10
         else:
             assert kinds.count("gru") == 1 and kinds.count("linear") == 4
-            assert len(kinds) <= 12
+            assert len(kinds) == 10
+
+    @pytest.mark.parametrize("frame_hw", [(30, 30), (72, 96)])
+    @pytest.mark.parametrize("variant", ["micro-r2plus1d", "micro-cnn-rnn"])
+    def test_conv_models_run_ten_ops_at_every_geometry(self, monkeypatch, variant, frame_hw):
+        # the volume goes from conv to conv as it is, so the one permute of
+        # the pooled features is the only op that moves values
+        kinds = forward_op_kinds(monkeypatch, variant, frame_hw)
+        assert len(kinds) == 10
+        assert set(kinds) <= {"conv3d", "mean", "permute", "linear", "gru", "relu"}
+        assert kinds.count("permute") == 1
 
     # 30x30 pads the clip to the patch stride; 72x96 is the full geometry
     @pytest.mark.parametrize("frame_hw", [(24, 32), (30, 30), (72, 96)])

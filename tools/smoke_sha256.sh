@@ -33,6 +33,9 @@ nascore() {
     PYTHONPATH="$src/src" python -m nascore "$@" >/dev/null
 }
 
+# `python -m` puts the working directory first on sys.path, so every
+# command runs in OUT, where no file can shadow a module numpy imports
+cd "$out"
 nascore synth --smoke --seed 0 --out "$out/corpus"
 nascore prep --corpus "$out/corpus" --out "$out/prepared.csv" --min-count 1
 printf 'learning_rate = 0.001\n' >"$out/smoke.cfg"
@@ -47,7 +50,6 @@ for model in mvit r2plus1d cnnrnn; do
 done
 nascore eval --runs "$@" --out "$out/report.json"
 
-cd "$out"
 sha256sum report.json run_*/predictions.json run_*/config.txt run_*/digest.txt run_*/fold*.ckpt
 cat corpus/labels.csv corpus/*.tvf | sha256sum | sed 's/ -$/ corpus/'
 python - "$@" <<'EOF'
