@@ -1,14 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The operation set is fixed: it covers exactly what the three video models
-need (dense/conv layers, pooling attention, the two losses). Every forward
-op records a graph node when gradients are required; the tape order (node
-creation order) is a valid topological order, so ``backward`` walks nodes
-by descending id. It returns the gradients of the requires_grad leaves
-only, and consumes the tape as it walks: each tensor drops its node when
-passed, so activations, residuals and gradients are freed as soon as no
-later vjp needs them. ``grad_check`` compares analytic gradients of any
-op against central finite differences.
+The operation set is fixed: it is exactly the 12 kinds that the three
+video models and their two losses run. Every forward op records a graph
+node when gradients are required; the tape order (node creation order)
+is a valid topological order. The one reverse walk is ``vjp(out, grad)``,
+the vector-Jacobian product: it seeds ``out`` with the output gradient
+``grad`` and walks the nodes by descending id; ``backward(loss)`` is
+``vjp`` seeded with 1 at a scalar loss. The walk returns the gradients of
+the requires_grad leaves only, and consumes the tape as it goes: each
+tensor drops its node when passed, so activations, residuals and
+gradients are freed as soon as no later vjp needs them. ``grad_check``
+compares the ``vjp`` of any op against central finite differences.
 
 An op's forward returns its output array, or ``(out, residual)`` when its
 vjp reuses intermediates of the forward. ``pooled_attention`` saves its
@@ -16,7 +18,7 @@ split heads and per-row log-sum-exp this way: it never holds the full
 softmax weights, and its vjp rebuilds them one query tile at a time. Only
 ``out`` becomes the tensor; the residual rides on the graph node, so it is
 dropped at once when no node is recorded and freed with the node during
-``backward``. The vjp gets back the same pair as its ``out`` argument.
+the walk. The vjp gets back the same pair as its ``out`` argument.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return float(self.data)
 
@@ -128,20 +126,13 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _broadcastable(a, b):
-    try:
-        return np.broadcast_shapes(a, b)
-    except ValueError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # op registry: kind -> (forward, vjp)
 #
 # forward(arrays, attrs) -> output array, or (output array, residual)
 # vjp(grad, arrays, out, attrs) -> tuple of per-input gradients; ``out`` is
 # what forward returned, and ``attrs["needs"]`` holds one bool per input,
-# whether backward wants its gradient. A vjp returns None for, and computes
+# whether the walk wants its gradient. A vjp returns None for, and computes
 # nothing of, each input that needs none (after PyTorch's
 # ``ctx.needs_input_grad``).
 # ---------------------------------------------------------------------------
@@ -157,42 +148,20 @@ def _register(kind):
     return wrap
 
 
-def _ew_check(kind, a, b):
-    shape = _broadcastable(a.shape, b.shape)
-    if shape is None:
-        raise ShapeMismatch(kind, f"broadcastable shapes", f"{a.shape} vs {b.shape}")
-    return shape
-
-
 @_register("add")
 class _Add:
     @staticmethod
     def forward(xs, attrs):
         a, b = xs
-        _ew_check("add", a, b)
-        return a + b
+        try:
+            return a + b
+        except ValueError:
+            raise ShapeMismatch("add", "broadcastable shapes", f"{a.shape} vs {b.shape}") from None
 
     @staticmethod
     def vjp(g, xs, out, attrs):
         (a, b), (na, nb) = xs, attrs["needs"]
         return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(g, b.shape) if nb else None)
-
-
-@_register("multiply")
-class _Multiply:
-    @staticmethod
-    def forward(xs, attrs):
-        a, b = xs
-        _ew_check("multiply", a, b)
-        return a * b
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        (a, b), (na, nb) = xs, attrs["needs"]
-        return (
-            _unbroadcast(g * b, a.shape) if na else None,
-            _unbroadcast(g * a, b.shape) if nb else None,
-        )
 
 
 def _rows(a):
@@ -273,7 +242,8 @@ class _LayerNorm:
     Both passes flatten x's leading axes into rows, so every reduction is
     one BLAS product: the row means of the forward and the vjp are
     rows @ (1/C column), the gain and shift gradients ones @ rows. The
-    residual is the normalized rows xhat and the per-row 1/sqrt(var + eps).
+    residual is the normalized rows xhat and the per-row 1/sqrt(var + eps),
+    eps = 1e-5.
     """
 
     @staticmethod
@@ -284,11 +254,10 @@ class _LayerNorm:
                 "layer_norm", "(..., C) input with (C,) gain and shift",
                 f"{x.shape}, {gain.shape}, {shift.shape}",
             )
-        eps = attrs.get("epsilon", 1e-5)
         rows = _rows(x)
         avg = _row_mean(x.shape[-1])
         xc = rows - rows @ avg
-        sd = np.sqrt((xc * xc) @ avg + eps)
+        sd = np.sqrt((xc * xc) @ avg + 1e-5)
         xc /= sd
         out = xc * gain
         out += shift
@@ -651,40 +620,20 @@ class _AvgPool:
         return (full[(slice(None), *[slice(0, n) for n in dims], slice(None))],)
 
 
-@_register("sum")
-class _Sum:
-    @staticmethod
-    def forward(xs, attrs):
-        axes = attrs.get("axes")
-        return xs[0].sum(axis=None if axes is None else tuple(axes))
-
-    @staticmethod
-    def vjp(g, xs, out, attrs):
-        x = xs[0]
-        axes = attrs.get("axes")
-        if axes is None:
-            return (np.broadcast_to(g, x.shape),)
-        return (np.broadcast_to(np.expand_dims(g, tuple(axes)), x.shape),)
-
-
 @_register("mean")
 class _Mean:
     @staticmethod
     def forward(xs, attrs):
-        (x,) = xs
-        axes = attrs.get("axes")
-        if axes is not None and any(not 0 <= a < x.ndim for a in axes):
-            raise ShapeMismatch("mean", f"axes within rank {x.ndim}", f"{tuple(axes)}")
-        return x.mean(axis=None if axes is None else tuple(axes))
+        (x,), axes = xs, attrs["axes"]
+        if any(not 0 <= a < x.ndim for a in axes):
+            raise ShapeMismatch("mean", f"axes within rank {x.ndim}", f"{axes}")
+        return x.mean(axis=axes)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
-        x = xs[0]
-        axes = attrs.get("axes")
-        if axes is None:
-            return (np.broadcast_to(g / x.size, x.shape),)
+        (x,), axes = xs, attrs["axes"]
         scale = 1.0 / np.prod([x.shape[a] for a in axes])
-        return (np.broadcast_to(np.expand_dims(g, tuple(axes)) * scale, x.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes) * scale, x.shape),)
 
 
 @_register("squared_error_sum")
@@ -762,22 +711,27 @@ def apply(kind, inputs, attrs=None):
     return Tensor(out, requires_grad=requires, _op=node, _checked=True)
 
 
-def backward(loss):
-    """Gradients of the scalar ``loss`` with respect to the leaves it reaches.
+def vjp(out, grad):
+    """The vector-Jacobian product: gradients of sum(out * grad) with
+    respect to the leaves ``out`` reaches, for an output gradient ``grad``
+    of ``out``'s shape.
 
     Returns a map node_id -> gradient Tensor with one entry per
-    requires_grad leaf the loss reaches; intermediate gradients are not
+    requires_grad leaf that ``out`` reaches; intermediate gradients are not
     kept. The tape is consumed as it is walked: each tensor drops its op
-    record when the walk passes it, so a second backward raises.
+    record when the walk passes it, so a second walk raises.
     """
-    if loss.shape != ():
-        raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss.op is None:
-        raise GraphError("backward on an empty graph (loss records no ops)")
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != out.shape:
+        raise GraphError(
+            f"vjp: output gradient of shape {grad.shape} for an output of shape {out.shape}"
+        )
+    if out.op is None:
+        raise GraphError("vjp on an empty graph (the output records no ops)")
 
     # ``seen`` keeps ids, so a tensor popped from ``order`` is held by nothing here
-    order = [loss]
-    seen = {loss.node_id}
+    order = [out]
+    seen = {out.node_id}
     for t in order:
         for inp in t.op.inputs if t.op is not None else ():
             if inp.requires_grad and inp.node_id not in seen:
@@ -785,7 +739,7 @@ def backward(loss):
                 order.append(inp)
     order.sort(key=lambda v: v.node_id)
 
-    grads = {loss.node_id: np.ones(())}
+    grads = {out.node_id: grad}
     leaf_grads = {}
     while order:
         t = order.pop()
@@ -794,10 +748,10 @@ def backward(loss):
         if op is None:
             leaf_grads[t.node_id] = Tensor(g, _checked=True)
             continue
-        out = t.data if op.residual is None else (t.data, op.residual)
+        y = t.data if op.residual is None else (t.data, op.residual)
         needs = tuple(i.requires_grad for i in op.inputs)
         arrays = tuple(i.data for i in op.inputs)
-        input_grads = _OPS[op.kind].vjp(g, arrays, out, {**op.attrs, "needs": needs})
+        input_grads = _OPS[op.kind].vjp(g, arrays, y, {**op.attrs, "needs": needs})
         for inp, ig in zip(op.inputs, input_grads):
             if not inp.requires_grad:
                 continue
@@ -808,12 +762,13 @@ def backward(loss):
     return leaf_grads
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one finite-difference gradient check."""
-
-    kind: str
-    max_rel_err: float
+def backward(loss):
+    """Gradients of the scalar ``loss`` with respect to the leaves it
+    reaches: ``vjp`` seeded with d(loss)/d(loss) = 1, so it returns the
+    same map and consumes the tape the same way."""
+    if loss.shape != ():
+        raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
+    return vjp(loss, np.ones(()))
 
 
 FD_STEP = 1e-5
@@ -821,6 +776,20 @@ FD_STEP = 1e-5
 
 def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def central_difference(objective, arrays, key, j, step=FD_STEP):
+    """The central-difference derivative of the float ``objective(arrays)``
+    in flat element ``j`` of ``arrays[key]``, for a list or dict of arrays.
+    Each probe steps a copy of that one array; the others are shared."""
+
+    def probe(h):
+        moved = arrays.copy()
+        moved[key] = arrays[key].copy()
+        moved[key].reshape(-1)[j] += h
+        return objective(moved)
+
+    return (probe(step) - probe(-step)) / (2 * step)
 
 
 def _seeded_inputs(kind, shapes, rng):
@@ -832,11 +801,12 @@ def _seeded_inputs(kind, shapes, rng):
 
 
 def grad_check(kind, shapes, seed, attrs=None):
-    """Compare reverse-mode gradients of one op against central differences.
+    """Max relative error of one op's vjp against central differences.
 
-    The op output is contracted to a scalar with fixed random weights, so
-    every partial derivative of that scalar is exercised. Relative error
-    uses max(|analytic|, |numeric|, 1e-8) as the denominator.
+    The op output is contracted to a scalar with fixed random weights, and
+    the vjp is seeded with those weights, so every partial derivative of
+    that scalar is exercised. Relative error uses max(|analytic|,
+    |numeric|, 1e-8) as the denominator.
     """
     if kind not in _OPS:
         raise UnknownOpError(f"unknown op kind {kind!r}")
@@ -854,25 +824,13 @@ def grad_check(kind, shapes, seed, attrs=None):
         return float((value(arrs) * weights).sum())
 
     tensors = [tensor(a, requires_grad=True) for a in arrays]
-    out = apply(kind, tensors, attrs)
-    loss = apply("sum", [apply("multiply", [out, tensor(weights)])], {"axes": None})
-    gmap = backward(loss)
-
-    report = CheckReport(kind=kind, max_rel_err=0.0)
+    gmap = vjp(apply(kind, tensors, attrs), weights)
+    worst = 0.0
     for idx, (base, t) in enumerate(zip(arrays, tensors)):
         analytic = gmap[t.node_id].data if t.node_id in gmap else np.zeros(base.shape)
-        worst = 0.0
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            plus = [a.copy() for a in arrays]
-            plus[idx].reshape(-1)[j] = orig + FD_STEP
-            minus = [a.copy() for a in arrays]
-            minus[idx].reshape(-1)[j] = orig - FD_STEP
-            numeric = (objective(plus) - objective(minus)) / (2 * FD_STEP)
-            worst = max(worst, rel_err(float(analytic.reshape(-1)[j]), numeric))
-        report.max_rel_err = max(report.max_rel_err, worst)
-    return report
+        for j, a in enumerate(analytic.reshape(-1)):
+            worst = max(worst, rel_err(float(a), central_difference(objective, arrays, idx, j)))
+    return worst
 
 
 # canonical shape/attr cases covering every registered op; the verify
@@ -883,7 +841,8 @@ GRADCHECK_SUITE = (
     # a one-channel clip through a first 1x3x3 conv, as both conv models start
     ("conv3d", ((1, 2, 3, 6, 5), (3, 1, 1, 3, 3), (3, 1, 1, 1, 1)),
      {"stride": (1, 2, 2), "padding": (0, 1, 1)}),
-    ("multiply", ((3, 4), (3, 4)), None),
+    # loss_direct's (B, 1) scores against their targets
+    ("squared_error_sum", ((3, 1), (3, 1)), None),
     # attention with fewer key/value tokens than queries, as after kv pooling
     ("pooled_attention", ((2, 6, 4), (2, 3, 4), (2, 3, 4)), {"heads": 2}),
     ("linear", ((3, 4), (4, 2), (2,)), None),
@@ -914,8 +873,10 @@ GRADCHECK_SUITE = (
     ("avg_pool", ((2, 5, 4, 3),), {"stride": (2, 2)}),
     ("avg_pool", ((2, 3, 5, 4, 2),), {"stride": (2, 2, 2)}),
     ("mean", ((2, 3, 4, 5),), {"axes": (1, 2)}),
-    ("sum", ((3, 4),), {"axes": None}),
-    ("sum", ((3, 4),), {"axes": (0,)}),
+    # loss_indirect over the 8 activity classes, a class repeated
+    ("cross_entropy_logits", ((4, 8),), {"targets": (7, 0, 3, 7)}),
+    # r2plus1d's mean over a (C, B, T, H, W) volume's space-time axes
+    ("mean", ((2, 3, 2, 3, 2),), {"axes": (2, 3, 4)}),
     ("mean", ((3, 4),), {"axes": (1,)}),
     ("squared_error_sum", ((3, 2), (3, 2)), None),
     ("cross_entropy_logits", ((3, 5),), {"targets": (0, 4, 2)}),
@@ -936,10 +897,6 @@ def add(a, b):
     return apply("add", (a, b))
 
 
-def multiply(a, b):
-    return apply("multiply", (a, b))
-
-
 def linear(x, w, b):
     return apply("linear", (x, w, b))
 
@@ -956,8 +913,8 @@ def pooled_attention(q, k, v, heads):
     return apply("pooled_attention", (q, k, v), {"heads": int(heads)})
 
 
-def layer_norm(x, gain, shift, epsilon=1e-5):
-    return apply("layer_norm", (x, gain, shift), {"epsilon": epsilon})
+def layer_norm(x, gain, shift):
+    return apply("layer_norm", (x, gain, shift))
 
 
 def conv3d(x, w, b, stride, padding):
@@ -972,12 +929,8 @@ def avg_pool(x, stride):
     return apply("avg_pool", (x,), {"stride": tuple(stride)})
 
 
-def sum_(a, axes=None):
-    return apply("sum", (a,), {"axes": axes})
-
-
-def mean(a, axes=None):
-    return apply("mean", (a,), {"axes": axes})
+def mean(a, axes):
+    return apply("mean", (a,), {"axes": tuple(axes)})
 
 
 def squared_error_sum(a, b):

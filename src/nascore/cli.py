@@ -67,17 +67,6 @@ def cmd_prep(args):
     return 0
 
 
-# config keys map to the annotation of their dataclass field, which names
-# the parser of their value
-_PARSERS = {
-    "tuple": lambda raw: tuple(int(v) for v in raw.split(",")),
-    "float": float,
-    "int": int,
-    "str": str,
-}
-_PARSERS["widths"] = _PARSERS["tuple"]
-
-
 def read_utf8(path):
     """The text of the UTF-8 file at ``path``; other bytes raise a CliError
     naming the file, as the manifest readers do."""
@@ -96,6 +85,7 @@ def read_config_file(path, fixed):
     variant, method = fixed["variant"], fixed["method"]
     # a dataclass lists the fields of its base class first
     own = fields(models.config_class(variant))[len(fields(models.ModelConfig)):]
+    # a key's kind is the annotation of its dataclass field
     model_keys = {f.name: f.type for f in own}
     kinds = {f.name: f.type for f in fields(training.TrainConfig)} | model_keys
     # the shared fields a run derives; seed is a train key
@@ -117,7 +107,8 @@ def read_config_file(path, fixed):
             raise CliError(f"{path}:{lineno}: {variant} has no config key {key!r}")
         first_line[key] = lineno
         try:
-            values[key] = _PARSERS[kinds[key]](raw)
+            parse, _, _ = models.FIELD_TYPES[kinds[key]]
+            values[key] = parse(raw)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key} ({kinds[key]})")
         if key in fixed and values[key] != fixed[key]:

@@ -68,14 +68,22 @@ def _is_int(v):
 
 widths = tuple  # the annotation of channel widths: one or more positive integers
 
-# what each config field annotation admits, by name and by test; every
-# config's validate method checks each field's type before its value
-_FIELD_TYPES = {
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
-    "tuple": ("a tuple of integers", lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v)),
-    "widths": ("one or more positive widths",
+
+def _int_tuple(raw):
+    return tuple(int(v) for v in raw.split(","))
+
+
+# each config field annotation by name: the parser of its text in a config
+# file, and what it admits, by name and by test; every config's validate
+# method checks each field's type before its value
+FIELD_TYPES = {
+    "str": (str, "a string", lambda v: isinstance(v, str)),
+    "int": (int, "an integer", _is_int),
+    "float": (float, "a finite number",
+              lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    "tuple": (_int_tuple, "a tuple of integers",
+              lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v)),
+    "widths": (_int_tuple, "one or more positive widths",
                lambda v: isinstance(v, tuple) and v and all(_is_int(x) and x > 0 for x in v)),
 }
 
@@ -84,7 +92,7 @@ def check_field_types(config):
     """Raises ConfigError at the first field of ``config`` of a wrong type."""
     for f in fields(config):
         value = getattr(config, f.name)
-        kind, admits = _FIELD_TYPES[f.type]
+        _, kind, admits = FIELD_TYPES[f.type]
         if not admits(value):
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 

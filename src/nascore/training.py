@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -375,7 +376,12 @@ class ExperimentRun:
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: Python's json reads NaN, Infinity and 1e999
+    as floats, and an int of any size, which a float may not hold."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_folds(folds, method, source):

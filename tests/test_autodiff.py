@@ -68,7 +68,7 @@ def attention_reference(q, k, v, g, heads):
 def assert_attention_matches_reference(q, k, v, g, heads):
     tq, tk, tv = (ad.tensor(a, requires_grad=True) for a in (q, k, v))
     out = ad.pooled_attention(tq, tk, tv, heads)
-    gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+    gmap = ad.vjp(out, g)
     got = (out.data, gmap[tq.node_id].data, gmap[tk.node_id].data, gmap[tv.node_id].data)
     for a, expected in zip(got, attention_reference(q, k, v, g, heads)):
         np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-12)
@@ -109,7 +109,7 @@ def assert_conv3d_matches_loop_reference(x_shape, w_shape, stride, padding):
     tb = ad.tensor(b.reshape(-1, 1, 1, 1, 1), requires_grad=True)
     out = ad.conv3d(tx, tw, tb, stride, padding)
     g = rng.standard_normal(out.shape)
-    gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+    gmap = ad.vjp(out, g)
     got = (
         out.data.transpose(swap),
         gmap[tx.node_id].data.transpose(swap),
@@ -160,7 +160,7 @@ class TestForwardValues:
         tensors = [ad.tensor(a, requires_grad=True) for a in (x, w, b)]
         out = ad.linear(*tensors)
         g = rng.standard_normal(out.shape)
-        gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+        gmap = ad.vjp(out, g)
         rows, g_rows = x.reshape(-1, c), g.reshape(-1, 3)
         expected = (x @ w + b, g @ w.T, rows.T @ g_rows, g_rows.sum(axis=0))
         got = (out.data, *(gmap[t.node_id].data for t in tensors))
@@ -175,7 +175,7 @@ class TestForwardValues:
         tensors = [ad.tensor(a, requires_grad=True) for a in (x, gain, shift)]
         out = ad.layer_norm(*tensors)
         g = rng.standard_normal(out.shape)
-        gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(g))))
+        gmap = ad.vjp(out, g)
         xc = x - x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
         xhat = xc * inv
@@ -298,7 +298,7 @@ class TestForwardValues:
         for shape in (lambda a: a, lambda a: a.reshape(2, -1, 6)):
             tq, tk, tv = (ad.tensor(shape(a), requires_grad=True) for a in (q, k, v))
             out = ad.pooled_attention(tq, tk, tv, heads=2)
-            gmap = ad.backward(ad.sum_(ad.multiply(out, ad.tensor(shape(g)))))
+            gmap = ad.vjp(out, shape(g))
             results.append([out.data] + [gmap[t.node_id].data for t in (tq, tk, tv)])
         for grid, flat, x in zip(*results, (q, q, k, v)):
             assert grid.shape == x.shape
@@ -413,7 +413,7 @@ class TestErrors:
     def test_overflow_guard(self):
         big = ad.tensor(np.full((2,), 1e308))
         with pytest.raises(ad.NonFiniteError):
-            ad.multiply(big, big)
+            ad.add(big, big)
 
     def test_backward_non_scalar(self):
         x = ad.tensor([1.0, 2.0], requires_grad=True)
@@ -427,27 +427,30 @@ class TestErrors:
             ad.backward(x)
 
     def test_graph_consumed_after_backward(self):
-        x = ad.tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.sum_(x * 1 if False else ad.multiply(x, x))
+        x = ad.tensor(2.0, requires_grad=True)
+        loss = ad.add(x, x)
         ad.backward(loss)
         with pytest.raises(ad.GraphError):
             ad.backward(loss)
 
+    @pytest.mark.parametrize("grad_shape", [(), (2,), (3, 1)], ids=str)
+    def test_vjp_output_gradient_of_another_shape(self, grad_shape):
+        y = ad.relu(ad.tensor(np.ones((3, 2)), requires_grad=True))
+        with pytest.raises(ad.GraphError, match=r"output gradient of shape .* shape \(3, 2\)"):
+            ad.vjp(y, np.ones(grad_shape))
+
 
 class TestBackward:
-    def test_sum_grad_is_ones(self):
-        x = ad.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        gmap = ad.backward(ad.sum_(x))
-        np.testing.assert_array_equal(gmap[x.node_id].data, np.ones((2, 3)))
-
-    def test_product_rule(self):
+    def test_vjp_hands_the_output_gradient_to_the_leaves(self):
+        # add passes its output gradient to both inputs, the broadcast one
+        # summed over the axes it was broadcast along
         rng = np.random.default_rng(1)
-        xv, yv = rng.standard_normal((2, 5))
-        x = ad.tensor(xv, requires_grad=True)
-        y = ad.tensor(yv, requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.multiply(x, y)))
-        np.testing.assert_array_equal(gmap[x.node_id].data, yv)
-        np.testing.assert_array_equal(gmap[y.node_id].data, xv)
+        x = ad.tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = ad.tensor(rng.standard_normal(3), requires_grad=True)
+        g = rng.standard_normal((2, 3))
+        gmap = ad.vjp(ad.add(x, y), g)
+        np.testing.assert_array_equal(gmap[x.node_id].data, g)
+        np.testing.assert_array_equal(gmap[y.node_id].data, g.sum(axis=0))
 
     def test_layer_norm_matches_finite_differences(self):
         # a plain sum of normalized values is identically zero (the
@@ -457,7 +460,7 @@ class TestBackward:
         wv = rng.standard_normal(4)
         x = ad.tensor(xv, requires_grad=True)
         normed = ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros((4,))))
-        gmap = ad.backward(ad.sum_(ad.multiply(normed, ad.tensor(wv))))
+        gmap = ad.vjp(normed, wv)
 
         def fn(arrs):
             v = arrs[0]
@@ -471,22 +474,21 @@ class TestBackward:
     def test_layer_norm_plain_sum_gradient_is_zero(self):
         rng = np.random.default_rng(8)
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
-        gmap = ad.backward(ad.sum_(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)))))
+        gmap = ad.vjp(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4))), np.ones(4))
         np.testing.assert_allclose(gmap[x.node_id].data, 0.0, atol=1e-12)
 
     def test_gradient_map_keys_are_node_ids(self):
+        # x fans out to both inputs of add, so its gradient is 2 g
         x = ad.tensor([2.0, -1.0], requires_grad=True)
-        y = ad.multiply(x, x)
-        loss = ad.sum_(y)
-        gmap = ad.backward(loss)
+        y = ad.add(x, x)
+        gmap = ad.vjp(y, np.array([2.0, -1.0]))
         assert set(gmap) == {x.node_id} and not hasattr(x, "grad")
         np.testing.assert_array_equal(gmap[x.node_id].data, [4.0, -2.0])
 
     def test_leaf_unreached_without_requires_grad(self):
         x = ad.tensor([1.0, 2.0], requires_grad=False)
         y = ad.tensor([3.0, 4.0], requires_grad=True)
-        loss = ad.sum_(ad.multiply(x, y))
-        gmap = ad.backward(loss)
+        gmap = ad.vjp(ad.add(x, y), np.array([1.0, 2.0]))
         assert x.node_id not in gmap
         np.testing.assert_array_equal(gmap[y.node_id].data, [1.0, 2.0])
 
@@ -511,15 +513,16 @@ class TestBackward:
         x = ad.tensor(rng.standard_normal((2, 3, 2, 5, 5)))
         w = ad.tensor(rng.standard_normal((4, 2, 1, 3, 3)), requires_grad=True)
         b = ad.tensor(np.zeros((4, 1, 1, 1, 1)))
-        gmap = ad.backward(ad.sum_(ad.conv3d(x, w, b, (1, 2, 2), (0, 1, 1))))
+        out = ad.conv3d(x, w, b, (1, 2, 2), (0, 1, 1))
+        gmap = ad.vjp(out, np.ones(out.shape))
         assert needs == [(False, True, False)] and scatters == []
         assert set(gmap) == {w.node_id}
         # grad_check asks for every input, so it still checks the scatter
         attrs = {"stride": (1, 2, 2), "padding": (0, 1, 1)}
         shapes = ((2, 2, 2, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1))
-        report = ad.grad_check("conv3d", shapes, seed=0, attrs=attrs)
+        err = ad.grad_check("conv3d", shapes, seed=0, attrs=attrs)
         assert needs[1:] == [(True, True, True)] and len(scatters) == 1
-        assert report.max_rel_err < 1e-4
+        assert err < 1e-4
 
     def test_backward_frees_the_tape_as_it_walks(self):
         # a 20-op chain of 1.6 MB activations (linear, then relu, ten times):
@@ -532,7 +535,7 @@ class TestBackward:
         y = x
         for _ in range(10):
             y = ad.relu(ad.linear(y, w, b))
-        loss = ad.sum_(y)
+        loss = ad.mean(y, (0, 1))
         tracemalloc.start()
         try:
             gmap = ad.backward(loss)
@@ -559,7 +562,7 @@ class TestBackward:
         # weight blocks
         residual = out.op.residual
         assert residual and all(r.size % (6 * 5) for r in residual)
-        gmap = ad.backward(ad.sum_(out))
+        gmap = ad.vjp(out, np.ones(out.shape))
         assert out.op is None and gmap[q.node_id].shape == (1, 6, 4)
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -587,10 +590,10 @@ class TestBackward:
         q = ad.tensor(rng.standard_normal((b, nq, heads * 8)), requires_grad=True)
         k, v = (ad.tensor(rng.standard_normal((b, nk, heads * 8)), requires_grad=True)
                 for _ in range(2))
-        g = ad.tensor(rng.standard_normal(q.shape))
+        g = rng.standard_normal(q.shape)
         tracemalloc.start()
         try:
-            gmap = ad.backward(ad.sum_(ad.multiply(ad.pooled_attention(q, k, v, heads), g)))
+            gmap = ad.vjp(ad.pooled_attention(q, k, v, heads), g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -600,23 +603,23 @@ class TestBackward:
 
 class TestGradCheck:
     def test_relu_clean_inputs(self):
-        assert ad.grad_check("relu", [(8,)], seed=1).max_rel_err < 1e-6
+        assert ad.grad_check("relu", [(8,)], seed=1) < 1e-6
 
     def test_matmul_example(self):
         # linear's x @ w + b
-        assert ad.grad_check("linear", [(3, 4), (4, 2), (2,)], seed=1).max_rel_err < 1e-4
+        assert ad.grad_check("linear", [(3, 4), (4, 2), (2,)], seed=1) < 1e-4
 
     def test_softmax_example(self):
         # the attention softmax, its scale and both matmuls, in one op
-        report = ad.grad_check("pooled_attention", [(1, 3, 4), (1, 5, 4), (1, 5, 4)], seed=2,
-                               attrs={"heads": 2})
-        assert report.max_rel_err < 1e-4
+        err = ad.grad_check("pooled_attention", [(1, 3, 4), (1, 5, 4), (1, 5, 4)], seed=2,
+                            attrs={"heads": 2})
+        assert err < 1e-4
 
     @pytest.mark.parametrize("kind,shapes,attrs", ad.GRADCHECK_SUITE)
     def test_all_ops_five_seeds(self, kind, shapes, attrs):
         for seed in range(5):
-            report = ad.grad_check(kind, shapes, seed=seed, attrs=attrs)
-            assert report.max_rel_err < 1e-4, (kind, seed, report.max_rel_err)
+            err = ad.grad_check(kind, shapes, seed=seed, attrs=attrs)
+            assert err < 1e-4, (kind, seed, err)
 
     def test_every_registered_op_covered(self):
         assert {kind for kind, _, _ in ad.GRADCHECK_SUITE} == set(ad.OP_KINDS)

@@ -638,6 +638,29 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {run / 'predictions.json'}: {message}\n"
         assert not out.exists()
 
+    # Python's json reads NaN, Infinity and -Infinity as floats and an
+    # integer of any size as an int; eval takes none of them for a number
+    @pytest.mark.parametrize("method,key,text,message", [
+        ("direct", "score", "NaN", "fold 0 record 2: score is not a number"),
+        ("indirect", "logits", "[0.0, Infinity, 0, 0, 0, 0, 0, 0]",
+         "fold 0 record 2: logits is not a list of 8 numbers"),
+        ("indirect", "logits", "[0.0, -Infinity, 0, 0, 0, 0, 0, 0]",
+         "fold 0 record 2: logits is not a list of 8 numbers"),
+        ("direct", "score", "1" + "0" * 400, "fold 0 record 2: score is not a number"),
+    ], ids=["nan-score", "inf-logit", "minus-inf-logit", "huge-int-score"])
+    def test_non_finite_number_is_one_line_error(self, tmp_path, capsys, method, key, text,
+                                                 message):
+        payload = run_file(method=method)
+        payload["folds"][0]["predictions"][2][key] = "@"
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "predictions.json").write_text(json.dumps(payload).replace('"@"', text))
+        assert text in (run / "predictions.json").read_text()
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--runs", run, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {run / 'predictions.json'}: {message}\n"
+        assert not out.exists()
+
     def test_non_utf8_run_file_is_one_line_error(self, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import types
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -374,7 +375,7 @@ class TestForward:
         kinds = forward_op_kinds(monkeypatch, variant)
         if variant == "mini-mvit":
             # patch embedding, 6 per block, 1 per transition skip, the head
-            assert "multiply" not in kinds and "relu" in kinds
+            assert "relu" in kinds
             assert kinds.count("linear") == 1 + 3 * 6 + 2 + 1
             assert kinds.count("layer_norm") == 3 * 2 + 1
             assert len(kinds) == 52
@@ -461,6 +462,36 @@ class TestBackward:
         assert set(gmap) == {p.node_id for p in model.params.values()}
         assert seen, "no op input went without a gradient"
         assert [(kind, i) for kind, i, computed in seen if computed] == []
+
+    def test_the_models_run_every_registered_op(self, monkeypatch):
+        # the op set is exactly what the three models and their two losses
+        # run: every kind is applied by some forward or loss at 24x32, and
+        # its vjp runs in backward
+        applied, walked = set(), set()
+        apply = ad.apply
+
+        def spy_apply(kind, inputs, attrs=None):
+            applied.add(kind)
+            return apply(kind, inputs, attrs)
+
+        def spy_op(kind, op):
+            def vjp(g, xs, out, attrs):
+                walked.add(kind)
+                return op.vjp(g, xs, out, attrs)
+
+            return types.SimpleNamespace(forward=op.forward, vjp=vjp)
+
+        monkeypatch.setattr(ad, "apply", spy_apply)
+        for kind, op in list(ad._OPS.items()):
+            monkeypatch.setitem(ad._OPS, kind, spy_op(kind, op))
+        losses = {models.CLASSIFY_HEAD: lambda out: training.loss_indirect(out, [2, 7]),
+                  "regress-1": lambda out: training.loss_direct(out, [0.5, 3.0])}
+        rng = np.random.default_rng(9)
+        for variant in models.VARIANTS:
+            for head, loss in losses.items():
+                model = models.build_model(models.default_config(variant, head, (24, 32)))
+                ad.backward(loss(model.forward(random_batch(rng, 2, (24, 32)))))
+        assert applied == walked == set(ad.OP_KINDS)
 
 
 def checkpoint_parts(path):
