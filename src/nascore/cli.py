@@ -150,16 +150,13 @@ def cmd_eval(args):
         if key in results:
             raise CliError(f"duplicate run for {run.variant}/{run.method}")
         digests[str(run_dir)] = run.corpus_digest
-        fold_records = [
+        folds = [
             metrics.compute_fold_metrics(
                 metrics.PredictionSet.from_records(run.method, fold["predictions"])
             )
             for fold in run.folds
         ]
-        results[key] = {
-            "folds": fold_records,
-            "average": metrics.aggregate_folds(fold_records),
-        }
+        results[key] = {"folds": folds, "average": metrics.aggregate_folds(folds)}
         provenance["runs"][f"{run.variant}/{run.method}"] = {
             "seed": run.train_config["seed"],
             "train_config": run.train_config,

@@ -188,21 +188,19 @@ def plan_smoke(seed: int) -> CorpusPlan:
 @dataclass(frozen=True)
 class MotionPattern:
     kind: str
-    agent_count: int
     dwell: tuple  # (y, x) center of activity in unit coordinates
-    speed: float  # mean displacement per frame, unit coordinates
     warmth: int  # blob amplitude over background, raw counts
 
 
 MOTION_PATTERNS = (
-    MotionPattern("bedside-dwell", 1, (0.55, 0.22), 0.0004, 24000),
-    MotionPattern("arm-reach", 1, (0.42, 0.78), 0.012, 26600),
-    MotionPattern("corner-station", 1, (0.14, 0.86), 0.0002, 29200),
-    MotionPattern("two-agent", 2, (0.85, 0.51), 0.0011, 31800),
-    MotionPattern("patient-roll", 1, (0.50, 0.80), 0.009, 34400),
-    MotionPattern("bedside-sweep", 1, (0.30, 0.50), 0.010, 37000),
-    MotionPattern("approach-retreat", 1, (0.28, 0.20), 0.006, 39600),
-    MotionPattern("brief-visit", 1, (0.77, 0.29), 0.004, 42200),
+    MotionPattern("bedside-dwell", (0.55, 0.22), 24000),
+    MotionPattern("arm-reach", (0.42, 0.78), 26600),
+    MotionPattern("corner-station", (0.14, 0.86), 29200),
+    MotionPattern("two-agent", (0.85, 0.51), 31800),
+    MotionPattern("patient-roll", (0.50, 0.80), 34400),
+    MotionPattern("bedside-sweep", (0.30, 0.50), 37000),
+    MotionPattern("approach-retreat", (0.28, 0.20), 39600),
+    MotionPattern("brief-visit", (0.77, 0.29), 42200),
 )
 
 PATIENT_CENTER = (0.55, 0.50)

@@ -5,6 +5,10 @@ argmax of the logits, class scores = softmax probabilities). The direct
 method outputs a bare score, so only MSE applies. AUC uses pair counting
 (Mann-Whitney, ties credited 0.5); classes with no positives or no
 negatives in a fold are excluded from the macro mean and flagged.
+
+Predictions come from run files that ``training.ExperimentRun.from_json``
+has checked: every fold holds a prediction, an indirect fold two true
+classes, and every logit and score is a number of bounded magnitude.
 """
 
 from __future__ import annotations
@@ -17,39 +21,27 @@ import numpy as np
 
 from .dataset import ACTIVITY_TABLE, NAS_VALUES
 
-
-class EmptyPredictionsError(ValueError):
-    pass
-
-
 N_CLASSES = len(ACTIVITY_TABLE)
 
 
 @dataclass
 class PredictionSet:
     method: str  # "indirect" | "direct"
-    video_ids: list
     true_classes: np.ndarray
     logits: np.ndarray = None  # (N, 8) for indirect
     scores: np.ndarray = None  # (N,) for direct
 
     @classmethod
     def from_records(cls, method, records):
-        if not records:
-            raise EmptyPredictionsError("no predictions")
-        video_ids = [r["video_id"] for r in records]
         true = np.array([r["true_class"] for r in records], dtype=int)
         if method == "indirect":
-            return cls(method, video_ids, true, logits=np.array([r["logits"] for r in records]))
-        if method == "direct":
-            return cls(method, video_ids, true, scores=np.array([r["score"] for r in records]))
-        raise ValueError(f"unknown method {method!r}")
+            logits = np.array([r["logits"] for r in records], dtype=np.float64)
+            return cls(method, true, logits=logits)
+        return cls(method, true, scores=np.array([r["score"] for r in records], dtype=np.float64))
 
     def _require(self, method):
         if self.method != method:
             raise ValueError(f"metric needs the {method} method, got {self.method}")
-        if len(self.video_ids) == 0:
-            raise EmptyPredictionsError("empty prediction set")
 
 
 def argmax_classes(logits):
@@ -91,21 +83,24 @@ def class_auc(scores, positives) -> float:
     return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def roc_auc_macro(preds: PredictionSet):
-    """Mean one-vs-rest AUC; returns (auc, excluded class list)."""
+def auc_excluded_classes(preds: PredictionSet) -> list:
+    """The classes with no positives or no negatives, which AUC leaves out."""
+    present = set(preds.true_classes.tolist())
+    # a class present alone has no negatives
+    return [c for c in range(N_CLASSES) if c not in present or len(present) == 1]
+
+
+def roc_auc_macro(preds: PredictionSet) -> float:
+    """Mean one-vs-rest AUC over the classes ``auc_excluded_classes`` keeps."""
     preds._require("indirect")
     probs = softmax_probabilities(preds.logits)
-    aucs = []
-    excluded = []
-    for c in range(N_CLASSES):
-        positives = preds.true_classes == c
-        if positives.all() or not positives.any():
-            excluded.append(c)
-            continue
-        aucs.append(class_auc(probs[:, c], positives))
-    if not aucs:
-        raise EmptyPredictionsError("every class is degenerate; AUC undefined")
-    return float(np.mean(aucs)), excluded
+    excluded = auc_excluded_classes(preds)
+    aucs = [
+        class_auc(probs[:, c], preds.true_classes == c)
+        for c in range(N_CLASSES)
+        if c not in excluded
+    ]
+    return float(np.mean(aucs))
 
 
 def nas_mse(preds: PredictionSet) -> float:
@@ -114,8 +109,6 @@ def nas_mse(preds: PredictionSet) -> float:
     Indirect predictions map through the per-class average score table;
     direct predictions are compared as-is.
     """
-    if len(preds.video_ids) == 0:
-        raise EmptyPredictionsError("empty prediction set")
     table = np.array(NAS_VALUES)
     true_scores = table[preds.true_classes]
     if preds.method == "indirect":
@@ -125,88 +118,54 @@ def nas_mse(preds: PredictionSet) -> float:
     return float(np.mean((predicted_scores - true_scores) ** 2))
 
 
-@dataclass
-class MetricsRecord:
-    mse: float
-    accuracy: float = None
-    roc_auc: float = None
-    f1_macro: float = None
-    auc_excluded_classes: tuple = ()
+AUC_EXCLUDED = "auc_excluded_classes"
 
-    def validate(self):
-        for name in ("accuracy", "roc_auc", "f1_macro"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.mse < 0:
-            raise ValueError(f"mse={self.mse} negative")
+# each method's metrics by report name
+METRICS = {
+    "indirect": {
+        "mse": nas_mse,
+        "accuracy": accuracy,
+        "roc_auc": roc_auc_macro,
+        "f1_macro": f1_macro,
+        AUC_EXCLUDED: auc_excluded_classes,
+    },
+    "direct": {"mse": nas_mse},
+}
 
 
-def compute_fold_metrics(preds: PredictionSet) -> MetricsRecord:
-    if preds.method == "direct":
-        record = MetricsRecord(mse=nas_mse(preds))
-    else:
-        auc, excluded = roc_auc_macro(preds)
-        record = MetricsRecord(
-            mse=nas_mse(preds),
-            accuracy=accuracy(preds),
-            roc_auc=auc,
-            f1_macro=f1_macro(preds),
-            auc_excluded_classes=tuple(excluded),
-        )
-    record.validate()
-    return record
+def compute_fold_metrics(preds: PredictionSet) -> dict:
+    """One fold's ``METRICS`` of its method, by report name."""
+    return {name: metric(preds) for name, metric in METRICS[preds.method].items()}
 
 
-def aggregate_folds(records) -> MetricsRecord:
-    """Unweighted arithmetic mean of each metric across folds."""
-    records = list(records)
-    if not records:
-        raise EmptyPredictionsError("no fold records to aggregate")
-
-    def mean_of(name):
-        values = [getattr(r, name) for r in records]
-        if any(v is None for v in values):
-            return None
-        return float(np.mean(values))
-
-    excluded = sorted({c for r in records for c in r.auc_excluded_classes})
-    out = MetricsRecord(
-        mse=mean_of("mse"),
-        accuracy=mean_of("accuracy"),
-        roc_auc=mean_of("roc_auc"),
-        f1_macro=mean_of("f1_macro"),
-        auc_excluded_classes=tuple(excluded),
-    )
-    out.validate()
-    return out
-
-
-def _record_payload(average: MetricsRecord, folds):
-    payload = {"mse": average.mse, "per_fold": {"mse": [r.mse for r in folds]}}
-    if average.accuracy is not None:
-        payload["accuracy"] = average.accuracy
-        payload["roc_auc"] = average.roc_auc
-        payload["f1_macro"] = average.f1_macro
-        payload["per_fold"]["accuracy"] = [r.accuracy for r in folds]
-        payload["per_fold"]["roc_auc"] = [r.roc_auc for r in folds]
-        payload["per_fold"]["f1_macro"] = [r.f1_macro for r in folds]
-        if average.auc_excluded_classes:
-            payload["auc_excluded_classes"] = list(average.auc_excluded_classes)
-    return payload
+def aggregate_folds(folds) -> dict:
+    """Unweighted arithmetic mean of each metric across folds; the classes
+    any fold left out of its AUC, sorted, when there are some."""
+    average = {
+        name: float(np.mean([f[name] for f in folds]))
+        for name in folds[0]
+        if name != AUC_EXCLUDED
+    }
+    excluded = sorted({c for f in folds for c in f.get(AUC_EXCLUDED, ())})
+    if excluded:
+        average[AUC_EXCLUDED] = excluded
+    return average
 
 
 def emit_report(results, path, provenance=None) -> Path:
-    """Writes the evaluation report.
+    """Writes the evaluation report as strict JSON.
 
     ``results`` maps (model variant, method) to a dict with keys "folds"
-    (per-fold MetricsRecords) and "average" (the aggregate). Direct-method
-    entries carry only MSE fields.
+    (per-fold metric dicts) and "average" (the aggregate). Each row is the
+    average with a "per_fold" list of every averaged metric.
     """
     report = {"indirect": {}, "direct": {}, "provenance": provenance or {}}
     for (variant, method), bundle in sorted(results.items()):
-        report[method][variant] = _record_payload(bundle["average"], bundle["folds"])
+        average, folds = bundle["average"], bundle["folds"]
+        per_fold = {name: [f[name] for f in folds] for name in average if name != AUC_EXCLUDED}
+        report[method][variant] = {**average, "per_fold": per_fold}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     return path

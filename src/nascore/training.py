@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
@@ -84,9 +82,7 @@ def stratified_kfold(entries, k, seed):
     """Deals each class's shuffled members round-robin across folds.
 
     One global fold cursor runs through all classes, so per-class and
-    overall fold sizes both differ by at most one. Falls back to a plain
-    shuffled split (with a warning) when some class has fewer than k
-    members.
+    overall fold sizes both differ by at most one.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -98,23 +94,13 @@ def stratified_kfold(entries, k, seed):
         by_class.setdefault(e.class_index, []).append(e.video_id)
 
     folds = [[] for _ in range(k)]
-    if any(len(v) < k for v in by_class.values()):
-        warnings.warn(
-            f"some class has fewer than {k} members; using a plain shuffled {k}-fold split",
-            stacklevel=2,
-        )
-        ids = [e.video_id for e in entries]
+    cursor = 0
+    for class_index in sorted(by_class):
+        ids = by_class[class_index]
         order = rng.permutation(len(ids))
-        for cursor, idx in enumerate(order):
+        for idx in order:
             folds[cursor % k].append(ids[idx])
-    else:
-        cursor = 0
-        for class_index in sorted(by_class):
-            ids = by_class[class_index]
-            order = rng.permutation(len(ids))
-            for idx in order:
-                folds[cursor % k].append(ids[idx])
-                cursor += 1
+            cursor += 1
 
     splits = []
     for f in range(k):
@@ -349,11 +335,18 @@ class ExperimentRun:
 
     @classmethod
     def from_json(cls, text, source="run file"):
-        """Parses ``to_json`` output; ``source`` names the file in errors."""
+        """Parses ``to_json`` output; ``source`` names the file in errors.
+
+        This is the one check of what ``eval`` reads: a file it passes can
+        be scored and reported without error. It raises RunFileError
+        naming the file, and the fold and record where there is one.
+        """
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise RunFileError(f"{source}: not JSON ({exc})") from None
+        except RecursionError:
+            raise RunFileError(f"{source}: not JSON (nested too deeply)") from None
         if not isinstance(d, dict):
             raise RunFileError(f"{source}: expected a JSON object")
         if d.get("schema", cls.SCHEMA) != cls.SCHEMA:
@@ -364,9 +357,16 @@ class ExperimentRun:
                 raise RunFileError(f"{source}: missing key {key!r}")
         if d["method"] not in METHODS:
             raise RunFileError(f"{source}: unknown method {d['method']!r}")
+        for key in ("variant", "corpus_digest"):
+            if not isinstance(d[key], str):
+                raise RunFileError(f"{source}: {key} is not a string")
         for key in ("train_config", "model_config"):
             if not isinstance(d[key], dict):
                 raise RunFileError(f"{source}: {key} is not an object")
+            try:  # the report echoes both, and is strict JSON
+                json.dumps(d[key], allow_nan=False)
+            except ValueError:
+                raise RunFileError(f"{source}: {key} holds a number that is not finite") from None
         if "seed" not in d["train_config"]:
             raise RunFileError(f"{source}: train_config: missing key 'seed'")
         if type(d["train_config"]["seed"]) is not int:
@@ -375,19 +375,27 @@ class ExperimentRun:
         return cls(**{name: d[name] for name in names})
 
 
+# the largest magnitude of a logit or score that eval takes: float64 holds
+# every int up to it exactly, and differences and squares of such values
+# stay far from overflow
+MAX_MAGNITUDE = 2**53
+
+
 def _is_number(v):
-    """A finite int or float: Python's json reads NaN, Infinity and 1e999
-    as floats, and an int of any size, which a float may not hold."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:
-        return False
+    """An int or float of magnitude at most MAX_MAGNITUDE. Python's json
+    reads NaN, Infinity and 1e999 as floats, and an int of any size; none
+    of them passes, as an int compares exactly with a float."""
+    return type(v) in (int, float) and abs(v) <= MAX_MAGNITUDE
 
 
 def _check_folds(folds, method, source):
-    """Raises RunFileError unless ``folds`` holds what ``eval`` reads."""
+    """Raises RunFileError unless ``folds`` holds what ``eval`` reads: one
+    or more folds, each of one or more records, and an indirect fold of
+    two true classes or more, so its ROC AUC is defined."""
     if not isinstance(folds, list):
         raise RunFileError(f"{source}: folds is not a list")
+    if not folds:
+        raise RunFileError(f"{source}: no folds")
     n_classes = len(dataset.ACTIVITY_TABLE)
     for i, fold in enumerate(folds):
         if not isinstance(fold, dict):
@@ -397,6 +405,8 @@ def _check_folds(folds, method, source):
                 raise RunFileError(f"{source}: fold {i}: missing key {key!r}")
         if not isinstance(fold["predictions"], list):
             raise RunFileError(f"{source}: fold {i}: predictions is not a list")
+        if not fold["predictions"]:
+            raise RunFileError(f"{source}: fold {i}: no predictions")
         for j, record in enumerate(fold["predictions"]):
             where = f"{source}: fold {i} record {j}"
             if not isinstance(record, dict):
@@ -404,6 +414,8 @@ def _check_folds(folds, method, source):
             for key in ("video_id", "true_class"):
                 if key not in record:
                     raise RunFileError(f"{where}: missing key {key!r}")
+            if not isinstance(record["video_id"], str):
+                raise RunFileError(f"{where}: video_id is not a string")
             true_class = record["true_class"]
             if type(true_class) is not int or not 0 <= true_class < n_classes:
                 raise RunFileError(f"{where}: true_class {true_class!r} outside 0..{n_classes - 1}")
@@ -414,6 +426,10 @@ def _check_folds(folds, method, source):
                     raise RunFileError(f"{where}: logits is not a list of {n_classes} numbers")
             elif not _is_number(record.get("score")):
                 raise RunFileError(f"{where}: score is not a number")
+        classes = {record["true_class"] for record in fold["predictions"]}
+        if method == "indirect" and len(classes) < 2:
+            raise RunFileError(f"{source}: fold {i}: every true_class is {classes.pop()}; "
+                               "ROC AUC needs two classes")
 
 
 def corpus_digest(manifest_path) -> str:

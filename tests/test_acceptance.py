@@ -245,7 +245,7 @@ class TestCriterion7TrainingSmoke:
             )
             for f in run.folds
         ]
-        accuracy = float(np.mean([r.accuracy for r in records]))
+        accuracy = float(np.mean([r["accuracy"] for r in records]))
         elapsed = smoke_pipeline.timings[("mvit", "indirect")]
 
         report = json.loads(smoke_pipeline.report_path.read_text())

@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nascore import cli, datagen, dataset, metrics, training, tvf
+from nascore import cli, datagen, dataset, metrics, models, training, tvf
 
 
 def run_cli(*argv):
@@ -192,6 +199,20 @@ def mini_pipeline(tmp_path_factory):
     config = root / "train.cfg"
     config.write_text("epochs = 1\nfolds = 2\n")
     return root, prepared, config
+
+
+CONFIG_KEYS = sorted(
+    {f.name for f in fields(training.TrainConfig)}
+    | {f.name for variant in models.VARIANTS for f in fields(models.config_class(variant))}
+)
+# arbitrary lines, and key = value lines of config keys, unknown keys and
+# values that do and do not parse
+CONFIG_LINES = st.text(max_size=12) | st.builds(
+    "{} = {}".format,
+    st.sampled_from(CONFIG_KEYS) | st.text(max_size=6),
+    st.text(max_size=8) | st.integers().map(str) | st.floats().map(str)
+    | st.lists(st.integers(-3, 9), max_size=4).map(lambda v: ",".join(map(str, v))),
+)
 
 
 class TestTrain:
@@ -410,6 +431,25 @@ class TestTrain:
         assert train == {"epochs": 4, "learning_rate": 0.5}
         assert model == {"mlp_ratio": 3.0, "embed_dims": (4, 8)}
 
+    @given(variant=st.sampled_from(models.VARIANTS), method=st.sampled_from(training.METHODS),
+           lines=st.lists(CONFIG_LINES, max_size=6), junk=st.just(b"") | st.binary(max_size=3),
+           at=st.integers(0, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_any_config_file_parses_or_is_one_line_error(self, variant, method, lines, junk,
+                                                         at):
+        text = "\n".join(lines).encode()
+        fixed = {"variant": variant, "method": method, "seed": 0}
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "train.cfg"
+            config.write_bytes(text[:at] + junk + text[at:])
+            try:
+                train, model = cli.read_config_file(config, fixed)
+            except cli.CliError as exc:
+                assert str(exc).startswith(f"{config}:") and "\n" not in str(exc)
+                return
+        assert set(train).isdisjoint(model)
+        assert all(train[key] == value for key, value in fixed.items() if key in train)
+
     def test_key_given_twice_is_one_line_error(
         self, mini_pipeline, tmp_path, capsys, monkeypatch
     ):
@@ -557,8 +597,9 @@ class TestTrain:
         assert exc.value.code == 2
 
 
-def run_file(method="indirect", folds=None, drop=None, bad_class=None):
-    """A schema-1 run payload of 2 folds x 8 records, with one defect applied."""
+def run_file(method="indirect", folds=None, drop=None, bad_class=None, record=None):
+    """A schema-1 run payload of 2 folds x 8 records, with one defect applied;
+    ``record`` holds values that replace those of fold 0's record 1."""
     records = [
         {"video_id": f"v{i}", "true_class": i % 8,
          **({"logits": [0.0] * 8} if method == "indirect" else {"score": 1.0})}
@@ -566,6 +607,7 @@ def run_file(method="indirect", folds=None, drop=None, bad_class=None):
     ]
     if drop is not None:
         del records[1][drop]
+    records[1].update(record or {})
     if bad_class is not None:
         records[15]["true_class"] = bad_class
     if folds is None:
@@ -573,6 +615,44 @@ def run_file(method="indirect", folds=None, drop=None, bad_class=None):
                  for f in range(2)]
     return {"schema": 1, "variant": "mini-mvit", "method": method, "train_config": {"seed": 0},
             "model_config": {}, "corpus_digest": "0" * 64, "folds": folds}
+
+
+def slots(node):
+    """The (container, key) of every value nested in the JSON value ``node``."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    else:
+        items = list(enumerate(node)) if isinstance(node, list) else []
+    for key, child in items:
+        yield node, key
+        yield from slots(child)
+
+
+# values to put into a run file: Python's json writes NaN, Infinity and
+# ints of any size, and reads them back
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers() | st.floats()
+    | st.sampled_from([2**53, 2**53 + 1, -2**70, 10**400, 1e308, -1e308, 5e-324]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=6,
+)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def quiet_cli(*argv):
+    """Runs one CLI command; returns its exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
 
 
 class TestEval:
@@ -627,8 +707,21 @@ class TestEval:
         (run_file(method="direct", drop="score"), "fold 0 record 1: score is not a number"),
         ({**run_file(), "train_config": "abc"}, "train_config is not an object"),
         ({**run_file(), "train_config": {}}, "train_config: missing key 'seed'"),
+        ({**run_file(), "variant": {}}, "variant is not a string"),
+        ({**run_file(), "corpus_digest": {}}, "corpus_digest is not a string"),
+        ({**run_file(), "corpus_digest": 5}, "corpus_digest is not a string"),
+        (run_file(record={"video_id": ["v1"]}), "fold 0 record 1: video_id is not a string"),
+        (run_file(folds=[]), "no folds"),
+        (run_file(folds=[{"fold_index": 0, "loss_history": [], "predictions": []}]),
+         "fold 0: no predictions"),
+        (run_file(folds=[{"fold_index": 0, "loss_history": [], "predictions": [
+            {"video_id": "v0", "true_class": 3, "logits": [0.0] * 8}]}]),
+         "fold 0: every true_class is 3; ROC AUC needs two classes"),
+        ({**run_file(), "model_config": {"mlp_ratio": float("nan")}},
+         "model_config holds a number that is not finite"),
     ], ids=["empty", "schema", "key", "folds", "true_class", "class_range", "score",
-            "train_config", "seed"])
+            "train_config", "seed", "variant", "digest-object", "digest-int", "video_id",
+            "no-folds", "empty-fold", "one-class-fold", "config-nan"])
     def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):
         run = tmp_path / "run"
         run.mkdir()
@@ -647,7 +740,13 @@ class TestEval:
         ("indirect", "logits", "[0.0, -Infinity, 0, 0, 0, 0, 0, 0]",
          "fold 0 record 2: logits is not a list of 8 numbers"),
         ("direct", "score", "1" + "0" * 400, "fold 0 record 2: score is not a number"),
-    ], ids=["nan-score", "inf-logit", "minus-inf-logit", "huge-int-score"])
+        # beyond training.MAX_MAGNITUDE: 2**70, and a float whose square overflows
+        ("indirect", "logits", f"[0.0, {2**70}, 0, 0, 0, 0, 0, 0]",
+         "fold 0 record 2: logits is not a list of 8 numbers"),
+        ("direct", "score", "1e308", "fold 0 record 2: score is not a number"),
+        ("direct", "score", str(2**53 + 1), "fold 0 record 2: score is not a number"),
+    ], ids=["nan-score", "inf-logit", "minus-inf-logit", "huge-int-score", "big-int-logit",
+            "1e308-score", "bound-plus-one-score"])
     def test_non_finite_number_is_one_line_error(self, tmp_path, capsys, method, key, text,
                                                  message):
         payload = run_file(method=method)
@@ -660,6 +759,46 @@ class TestEval:
         assert run_cli("eval", "--runs", run, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {run / 'predictions.json'}: {message}\n"
         assert not out.exists()
+
+    def test_score_at_the_magnitude_bound_is_scored(self, tmp_path):
+        payload = run_file(method="direct", record={"score": 2**53})
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "predictions.json").write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--runs", run, "--out", out) == 0
+        assert strict_json(out.read_text())["direct"]["mini-mvit"]["mse"] > 1e30
+
+    def test_deeply_nested_run_file_is_one_line_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "predictions.json").write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--runs", run, "--out", out) == 1
+        expected = f"error: {run / 'predictions.json'}: not JSON (nested too deeply)\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_run_file_gives_a_report_or_one_error_line(self, data):
+        payload = run_file(method=data.draw(st.sampled_from(training.METHODS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            container, key = data.draw(st.sampled_from(list(slots(payload))))
+            if data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            run, out = Path(tmp) / "run", Path(tmp) / "report.json"
+            run.mkdir()
+            (run / "predictions.json").write_text(json.dumps(payload))
+            code, err = quiet_cli("eval", "--runs", run, "--out", out)
+            if code == 0:
+                strict_json(out.read_text())
+            else:
+                assert code == 1 and not out.exists()
+                assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_utf8_run_file_is_one_line_error(self, tmp_path, capsys):
         run = tmp_path / "run"

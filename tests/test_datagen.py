@@ -89,7 +89,7 @@ class TestPlanCorpus:
 class TestMotionPatterns:
     def test_eight_distinct_patterns(self):
         assert len(datagen.MOTION_PATTERNS) == 8
-        sigs = [(p.agent_count, p.dwell, p.speed) for p in datagen.MOTION_PATTERNS]
+        sigs = [(p.dwell, p.warmth) for p in datagen.MOTION_PATTERNS]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert sigs[i] != sigs[j]

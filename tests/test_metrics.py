@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,10 +40,6 @@ class TestAccuracy:
         true = [0, 1, 2, 3, 4, 5, 6, 7]
         pred = [0, 1, 2, 3, 4, 6, 7, 6]
         assert metrics.accuracy(indirect_set(true, one_hot_logits(pred))) == 0.625
-
-    def test_empty_errors(self):
-        with pytest.raises(metrics.EmptyPredictionsError):
-            metrics.PredictionSet.from_records("indirect", [])
 
     def test_tie_breaks_to_lowest_index(self):
         preds = indirect_set([0], np.zeros((1, 8)))
@@ -88,9 +83,9 @@ class TestRocAuc:
     def test_degenerate_classes_excluded_and_flagged(self):
         true = [0, 0, 1, 1]  # classes 2..7 have no positives
         logits = np.random.default_rng(0).standard_normal((4, 8))
-        auc, excluded = metrics.roc_auc_macro(indirect_set(true, logits))
-        assert excluded == [2, 3, 4, 5, 6, 7]
-        assert 0.0 <= auc <= 1.0
+        preds = indirect_set(true, logits)
+        assert metrics.auc_excluded_classes(preds) == [2, 3, 4, 5, 6, 7]
+        assert 0.0 <= metrics.roc_auc_macro(preds) <= 1.0
 
     def test_matches_trapezoid_oracle_on_random_sets(self):
         for seed in range(100):
@@ -158,30 +153,40 @@ class TestInvariances:
 
 class TestAggregate:
     def rec(self, acc, mse=1.0):
-        return metrics.MetricsRecord(mse=mse, accuracy=acc, roc_auc=0.9, f1_macro=0.5)
+        return {"mse": mse, "accuracy": acc, "roc_auc": 0.9, "f1_macro": 0.5,
+                "auc_excluded_classes": []}
 
     def test_identical_records(self):
         out = metrics.aggregate_folds([self.rec(0.5), self.rec(0.5)])
-        assert out.accuracy == 0.5 and out.mse == 1.0
+        assert out["accuracy"] == 0.5 and out["mse"] == 1.0
 
     def test_mean_of_two(self):
         out = metrics.aggregate_folds([self.rec(0.5), self.rec(0.7)])
-        assert abs(out.accuracy - 0.6) < 1e-15
+        assert abs(out["accuracy"] - 0.6) < 1e-15
 
     def test_single_fold_identity(self):
         rec = self.rec(0.42, mse=3.3)
         out = metrics.aggregate_folds([rec])
-        assert out == rec
+        assert out == {key: value for key, value in rec.items() if key != "auc_excluded_classes"}
 
-    def test_empty_errors(self):
-        with pytest.raises(metrics.EmptyPredictionsError):
-            metrics.aggregate_folds([])
+    def test_excluded_classes_are_the_sorted_union(self):
+        folds = [{**self.rec(0.5), "auc_excluded_classes": excluded}
+                 for excluded in ([5, 2], [], [2, 7])]
+        assert metrics.aggregate_folds(folds)["auc_excluded_classes"] == [2, 5, 7]
 
     def test_direct_records_average_mse_only(self):
-        out = metrics.aggregate_folds(
-            [metrics.MetricsRecord(mse=2.0), metrics.MetricsRecord(mse=4.0)]
-        )
-        assert out.mse == 3.0 and out.accuracy is None
+        out = metrics.aggregate_folds([{"mse": 2.0}, {"mse": 4.0}])
+        assert out == {"mse": 3.0}
+
+
+class TestFoldMetrics:
+    def test_each_method_gets_its_metrics(self):
+        classes = [0, 1, 2, 3]
+        indirect = metrics.compute_fold_metrics(indirect_set(classes, one_hot_logits(classes)))
+        assert indirect == {"mse": 0.0, "accuracy": 1.0, "roc_auc": 1.0, "f1_macro": 0.5,
+                            "auc_excluded_classes": [4, 5, 6, 7]}
+        direct = metrics.compute_fold_metrics(direct_set([0, 1], [NAS_VALUES[0], NAS_VALUES[1]]))
+        assert direct == {"mse": 0.0}
 
 
 class TestReport:
@@ -189,10 +194,11 @@ class TestReport:
         results = {}
         for variant in ("mini-mvit", "micro-r2plus1d", "micro-cnn-rnn"):
             folds_i = [
-                metrics.MetricsRecord(mse=1.0 + i, accuracy=0.5, roc_auc=0.8, f1_macro=0.4)
+                {"mse": 1.0 + i, "accuracy": 0.5, "roc_auc": 0.8, "f1_macro": 0.4,
+                 "auc_excluded_classes": []}
                 for i in range(2)
             ]
-            folds_d = [metrics.MetricsRecord(mse=2.0 + i) for i in range(2)]
+            folds_d = [{"mse": 2.0 + i} for i in range(2)]
             results[(variant, "indirect")] = {
                 "folds": folds_i, "average": metrics.aggregate_folds(folds_i)
             }
@@ -221,6 +227,6 @@ class TestReport:
         report = json.loads(path.read_text())
         assert report["indirect"]["mini-mvit"]["mse"] == results[("mini-mvit", "indirect")][
             "average"
-        ].mse
+        ]["mse"]
         assert report["provenance"]["corpus_digest"] == "abc"
         assert report["indirect"]["mini-mvit"]["per_fold"]["mse"] == [1.0, 2.0]

@@ -55,11 +55,15 @@ class TestStratifiedKfold:
             seen.extend(s.val_ids)
         assert sorted(seen) == sorted(all_ids)
 
-    def test_small_class_degrades_with_warning(self):
+    def test_class_smaller_than_k_keeps_per_class_balance(self):
         entries = fake_entries([10, 2])
-        with pytest.warns(UserWarning, match="fewer than"):
-            splits = training.stratified_kfold(entries, 4, seed=0)
-        assert sum(len(s.val_ids) for s in splits) == 12
+        cls_of = {e.video_id: e.class_index for e in entries}
+        for seed in range(5):
+            splits = training.stratified_kfold(entries, 4, seed=seed)
+            assert sorted(len(s.val_ids) for s in splits) == [3, 3, 3, 3]
+            for cls in range(2):
+                per_fold = [sum(cls_of[v] == cls for v in s.val_ids) for s in splits]
+                assert max(per_fold) - min(per_fold) <= 1
 
     def test_k_errors(self):
         entries = fake_entries([6])
@@ -365,10 +369,7 @@ class TestRunExperiment:
             training, "load_sampled_clips", lambda entries: CountingDict(load(entries))
         )
         config = replace(tiny_train_config(epochs=0), folds=4)
-        with pytest.warns(UserWarning, match="fewer than 4 members"):
-            run = training.run_experiment(
-                tiny_corpus, config, jobs=2, model_overrides=TINY_OVERRIDES
-            )
+        run = training.run_experiment(tiny_corpus, config, jobs=2, model_overrides=TINY_OVERRIDES)
         assert [fold["fold_index"] for fold in run.folds] == [0, 1, 2, 3]
         assert len(pickled) <= 2
 
