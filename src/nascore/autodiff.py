@@ -405,54 +405,53 @@ class _PooledAttention:
         )
 
 
-def _conv_cols(x, kernel, stride, padding, out):
-    """The (C*kt*kh*kw, B*OT*OH*OW) window matrix of x (C, B, T, H, W): row
-    (c, r, u, v) holds what tap (r, u, v) of channel c reads at every output
-    position."""
-    (kt, kh, kw), (st, sh, sw), (pt, ph, pw), (ot, oh, ow) = kernel, stride, padding, out
-    et, eh, ew = st * ot, sh * oh, sw * ow
-    c, b, t, h, w = x.shape
-    xp = x
-    if pt or ph or pw:
-        xp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, w + 2 * pw))
-        xp[:, :, pt : pt + t, ph : ph + h, pw : pw + w] = x
-    cols = np.empty((c, kt, kh, kw, b, ot, oh, ow))
-    for r in range(kt):
-        for u in range(kh):
-            for v in range(kw):
-                cols[:, r, u, v] = xp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw]
-    return cols.reshape(c * kt * kh * kw, b * ot * oh * ow)
+def _conv_windows(shape, kernel, stride, padding):
+    """conv3d's one definition of its taps, for an input of the (C, B, T, H, W)
+    ``shape``: the interior of a zero volume padded on T, H and W, and the
+    volume's (C, kt, kh, kw, B, OT, OH, OW) view whose [c, r, u, v, b, i, j, k]
+    is the element [c, b, st*i + r, sh*j + u, sw*k + v] that tap (r, u, v)
+    reads at output (i, j, k). The view aliases memory, so nothing writes
+    through all of it at once; one tap's slice [:, r, u, v] never maps two
+    outputs onto one element, so ``+=`` through that slice is safe."""
+    c, b, *extent = shape
+    padded = np.zeros((c, b, *(n + 2 * p for n, p in zip(extent, padding))))
+    inner = (slice(None), slice(None), *(slice(p, p + n) for p, n in zip(padding, extent)))
+    sc, sb, *steps = padded.strides
+    out = [(n - k) // s + 1 for n, k, s in zip(padded.shape[2:], kernel, stride)]
+    strides = (sc, *steps, sb, *(s * e for s, e in zip(stride, steps)))
+    return padded[inner], np.lib.stride_tricks.as_strided(padded, (c, *kernel, b, *out), strides)
+
+
+def _conv_cols(x, kernel, stride, padding):
+    """The unfold: the (C*kt*kh*kw, B*OT*OH*OW) window matrix of
+    x (C, B, T, H, W), a copy of its window view. Row (c, r, u, v) holds
+    what tap (r, u, v) of channel c reads at every output position."""
+    interior, windows = _conv_windows(x.shape, kernel, stride, padding)
+    interior[...] = x
+    return windows.reshape(len(x) * math.prod(kernel), -1)
 
 
 def _conv_input_grad(w, g, x_shape, stride, padding):
-    """Gradient of conv3d's input x (C, B, T, H, W) for the output gradient
-    g (O, B, OT, OH, OW): each tap's (C, B, OT, OH, OW) slice of w.T @ g
-    adds onto the strided input positions it read."""
-    o, c, kt, kh, kw = w.shape
-    _, b, ot, oh, ow = g.shape
-    (st, sh, sw), (pt, ph, pw) = stride, padding
-    et, eh, ew = st * ot, sh * oh, sw * ow
-    t, h, wd = x_shape[2:]
-    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, kt, kh, kw, b, ot, oh, ow)
-    gxp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, wd + 2 * pw))
-    for r in range(kt):
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw] += taps[:, r, u, v]
-    return gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
+    """The fold, the gradient of conv3d's input x (C, B, T, H, W) for the
+    output gradient g (O, B, OT, OH, OW): each tap's (C, B, OT, OH, OW)
+    slice of w.T @ g adds through the window view, in kernel order."""
+    o, c, *kernel = w.shape
+    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, *kernel, *g.shape[1:])
+    interior, windows = _conv_windows(x_shape, kernel, stride, padding)
+    for r, u, v in np.ndindex(*kernel):
+        windows[:, r, u, v] += taps[:, r, u, v]
+    return interior
 
 
 @_register("conv3d")
 class _Conv3d:
-    """A conv layer, relu(conv + b): the cross-correlation of the volume
-    x (C, B, T, H, W) with w (O, C, kt, kh, kw), plus the bias
-    b (O, 1, 1, 1, 1), then ReLU, giving (O, B, OT, OH, OW). The layout is
-    channel-major, so each pass is one matmul with the unfolded window
-    matrix (im2col) and no transpose: the forward is w (O, C*kt*kh*kw) @
-    cols, the weight gradient g (O, B*OT*OH*OW) @ cols.T. The forward
-    returns only its output: the vjp masks g by out > 0 (the ReLU's
-    derivative, 0 at the kink), builds cols afresh and drops it before the
-    input gradient, which it skips when x needs none."""
+    """A conv layer, relu(conv + b): the cross-correlation of x (C, B, T, H, W)
+    with w (O, C, kt, kh, kw), plus b (O, 1, 1, 1, 1), then ReLU, giving
+    (O, B, OT, OH, OW). It is channel-major, so with the unfold's window
+    matrix cols (im2col) the forward w (O, C*kt*kh*kw) @ cols and the weight
+    gradient g (O, B*OT*OH*OW) @ cols.T are each one matmul, no transpose.
+    The vjp masks g by out > 0 (the ReLU's derivative, 0 at the kink),
+    unfolds cols afresh and frees it before the fold, skipped when x needs none."""
 
     @staticmethod
     def forward(xs, attrs):
@@ -469,7 +468,7 @@ class _Conv3d:
         out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in dims)
         if min(out) <= 0:
             raise ShapeMismatch("conv3d", "positive output extent", "x".join(map(str, out)))
-        cols = _conv_cols(x, w.shape[2:], stride, padding, out)
+        cols = _conv_cols(x, w.shape[2:], stride, padding)
         y = (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], *out)
         y += b
         return np.maximum(y, 0.0, out=y)
@@ -480,7 +479,7 @@ class _Conv3d:
         g = g * (out > 0.0)
         gw = None
         if nw:
-            cols = _conv_cols(x, w.shape[2:], attrs["stride"], attrs["padding"], g.shape[2:])
+            cols = _conv_cols(x, w.shape[2:], attrs["stride"], attrs["padding"])
             gw = (g.reshape(len(w), -1) @ cols.T).reshape(w.shape)
             del cols
         return (

@@ -192,6 +192,9 @@ class MotionPattern:
     warmth: int  # blob amplitude over background, raw counts
 
 
+# three kinds draw a fixed sweep whose midpoint is exactly their dwell:
+# approach-retreat (y 0.08-0.48, x 0.06-0.34), brief-visit (y 0.92-0.62,
+# x 0.08-0.50) and bedside-sweep's x (0.25-0.75)
 MOTION_PATTERNS = (
     MotionPattern("bedside-dwell", (0.55, 0.22), 24000),
     MotionPattern("arm-reach", (0.42, 0.78), 26600),

@@ -349,7 +349,8 @@ class ExperimentRun:
             raise RunFileError(f"{source}: not JSON (nested too deeply)") from None
         if not isinstance(d, dict):
             raise RunFileError(f"{source}: expected a JSON object")
-        if d.get("schema", cls.SCHEMA) != cls.SCHEMA:
+        schema = d.get("schema", cls.SCHEMA)
+        if type(schema) is not int or schema != cls.SCHEMA:
             raise RunFileError(f"{source}: unknown schema {d['schema']!r}, expected {cls.SCHEMA}")
         names = [f.name for f in fields(cls)]
         for key in ("schema", *names):
@@ -474,11 +475,14 @@ def run_experiment(
     once, from the pool's initializer.
     Results come back in fold-index order whatever the worker scheduling,
     and every randomness source derives from config.seed, so reruns are
-    byte-identical. ``run_dir`` is created and written only once
-    every fold has trained, and its files take their names only once all
-    are written, so a run that fails leaves nothing behind.
+    byte-identical. ``run_dir`` is checked before any clip is read, but
+    created and written only once every fold has trained, and its files
+    take their names only once all are written, so a run that fails
+    leaves nothing behind.
     """
     config.validate()
+    if run_dir is not None:
+        _check_run_dir(Path(run_dir))
     entries = dataset.load_prepared_manifest(manifest_path)
     _, h, w, _ = tvf.read_header(entries[0].clip_path)
     head = METHOD_HEADS[config.method]
@@ -517,6 +521,14 @@ def run_experiment(
         writers["digest.txt"] = lambda path: path.write_text(run.corpus_digest + "\n")
         _write_run_dir(Path(run_dir), writers)
     return run
+
+
+def _check_run_dir(run_dir):
+    """Raises NotADirectoryError unless ``run_dir`` can be made a directory:
+    it is one if it exists, and its nearest existing ancestor is one."""
+    existing = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{run_dir}: {existing} is not a directory")
 
 
 def _write_run_dir(run_dir, writers):

@@ -74,6 +74,12 @@ def assert_attention_matches_reference(q, k, v, g, heads):
         np.testing.assert_allclose(a, expected, rtol=1e-12, atol=1e-12)
 
 
+def conv_extent(x_shape, kernel, stride, padding):
+    """conv3d's output extent (OT, OH, OW) over a 5-D volume ending in (T, H, W)."""
+    dims = zip(x_shape[2:], kernel, stride, padding)
+    return tuple((n + 2 * p - k) // s + 1 for n, k, s, p in dims)
+
+
 def conv3d_reference(x, w, g, stride, padding):
     """Output of conv3d and the gradients of sum(out * g), as a plain loop
     over output positions and the three kernel tap axes, batch-first:
@@ -81,7 +87,7 @@ def conv3d_reference(x, w, g, stride, padding):
     b = x.shape[0]
     o, _, *kernel = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
-    outs = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x.shape[2:], kernel, stride, padding)]
+    outs = conv_extent(x.shape, kernel, stride, padding)
     out = np.zeros((b, o, *outs))
     gxp, gw = np.zeros_like(xp), np.zeros_like(w)
     for i, j, l in np.ndindex(*outs):
@@ -125,6 +131,62 @@ def assert_conv3d_matches_loop_reference(x_shape, w_shape, stride, padding):
     expected = (np.maximum(pre, 0.0), gx, gw, g_pre.sum(axis=(0, 2, 3, 4)))
     for a, ref in zip(got, expected):
         np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12)
+
+
+def unfold_loop(x, kernel, stride, padding):
+    """The (C*kt*kh*kw, B*OT*OH*OW) window matrix of x (C, B, T, H, W),
+    built one kernel tap (r, u, v) at a time from strided slices of the
+    zero-padded volume."""
+    (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = kernel, stride, padding
+    ot, oh, ow = conv_extent(x.shape, kernel, stride, padding)
+    et, eh, ew = st * ot, sh * oh, sw * ow
+    c, b, t, h, w = x.shape
+    xp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, w + 2 * pw))
+    xp[:, :, pt : pt + t, ph : ph + h, pw : pw + w] = x
+    cols = np.empty((c, kt, kh, kw, b, ot, oh, ow))
+    for r in range(kt):
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, r, u, v] = xp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw]
+    return cols.reshape(c * kt * kh * kw, b * ot * oh * ow)
+
+
+def fold_loop(taps, x_shape, kernel, stride, padding):
+    """The adjoint of unfold_loop: each tap's (C, B, OT, OH, OW) slice of the
+    (C*kt*kh*kw, B*OT*OH*OW) matrix ``taps`` adds onto the strided positions
+    of the zero-padded volume it read, taps in kernel order; returns the
+    interior."""
+    (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = kernel, stride, padding
+    ot, oh, ow = conv_extent(x_shape, kernel, stride, padding)
+    et, eh, ew = st * ot, sh * oh, sw * ow
+    c, b, t, h, wd = x_shape
+    taps = taps.reshape(c, kt, kh, kw, b, ot, oh, ow)
+    gxp = np.zeros((c, b, t + 2 * pt, h + 2 * ph, wd + 2 * pw))
+    for r in range(kt):
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, :, r : r + et : st, u : u + eh : sh, v : v + ew : sw] += taps[:, r, u, v]
+    return gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_unfold_and_fold_match_loops(shapes, attrs):
+    """conv3d's unfold and fold equal the per-tap loops bit for bit, and the
+    fold is the unfold's adjoint: <unfold(x), c> = <x, fold(c)>."""
+    rng = np.random.default_rng(3)
+    x, w = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+    kernel, stride, padding = w.shape[2:], attrs["stride"], attrs["padding"]
+    g = rng.standard_normal((len(w), x.shape[1], *conv_extent(x.shape, kernel, stride, padding)))
+    cols = ad._conv_cols(x, kernel, stride, padding)
+    assert_same_bits(cols, unfold_loop(x, kernel, stride, padding))
+    # the fold's input, computed as the op's vjp computes it
+    taps = w.reshape(len(w), -1).T @ g.reshape(len(w), -1)
+    gx = ad._conv_input_grad(w, g, x.shape, stride, padding)
+    assert_same_bits(gx, fold_loop(taps, x.shape, kernel, stride, padding))
+    assert ad.rel_err(np.vdot(cols, taps), np.vdot(x, gx)) < 1e-12
 
 
 def gru_reference(xz, xr, xn, whz, whr, whn):
@@ -347,6 +409,33 @@ class TestForwardValues:
         assert_conv3d_matches_loop_reference(
             (2, 3, frames, 5, 6), (4, 3, *kernel), stride, padding
         )
+
+    @pytest.mark.parametrize(
+        "shapes,attrs", [(shapes, attrs) for kind, shapes, attrs in ad.GRADCHECK_SUITE
+                         if kind == "conv3d"]
+    )
+    def test_unfold_and_fold_match_loops_on_suite_cases(self, shapes, attrs):
+        assert_unfold_and_fold_match_loops(shapes, attrs)
+
+    @pytest.mark.parametrize("variant", ["micro-r2plus1d", "micro-cnn-rnn"])
+    def test_unfold_and_fold_match_loops_on_model_layers(self, monkeypatch, variant):
+        # every conv layer of the default model at the 24x32 smoke size
+        from nascore import models
+
+        layers = []
+        apply = ad.apply
+
+        def spy(kind, inputs, attrs=None):
+            if kind == "conv3d":
+                layers.append(([t.shape for t in inputs], attrs))
+            return apply(kind, inputs, attrs)
+
+        monkeypatch.setattr(ad, "apply", spy)
+        model = models.build_model(models.default_config(variant, models.CLASSIFY_HEAD, (24, 32)))
+        model.forward(ad.tensor(np.zeros((3, models.N_FRAMES, 24, 32))))
+        assert len(layers) == {"micro-r2plus1d": 6, "micro-cnn-rnn": 2}[variant]
+        for shapes, attrs in layers:
+            assert_unfold_and_fold_match_loops(shapes, attrs)
 
 
 class TestErrors:

@@ -258,6 +258,26 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {manifest}: no entries\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    def test_out_that_cannot_be_a_directory_fails_before_training(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch, under
+    ):
+        _, prepared, config = mini_pipeline
+
+        def no_training(*args):
+            raise AssertionError("a fold trained")
+
+        monkeypatch.setattr(training, "train_fold", no_training)
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run" if under else blocker
+        code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                       "--method", "indirect", "--config", config, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "not a directory\n"
+
     def test_geometry_override_mismatch_leaves_no_run_directory(
         self, mini_pipeline, tmp_path, capsys, monkeypatch
     ):
@@ -700,6 +720,8 @@ class TestEval:
     @pytest.mark.parametrize("payload,message", [
         ({}, "missing key 'schema'"),
         ({"schema": 99, "variant": "mini-mvit"}, "unknown schema 99, expected 1"),
+        ({**run_file(), "schema": True}, "unknown schema True, expected 1"),
+        ({**run_file(), "schema": 1.0}, "unknown schema 1.0, expected 1"),
         ({"schema": 1, "variant": "mini-mvit"}, "missing key 'method'"),
         (run_file(folds="abc"), "folds is not a list"),
         (run_file(drop="true_class"), "fold 0 record 1: missing key 'true_class'"),
@@ -719,7 +741,7 @@ class TestEval:
          "fold 0: every true_class is 3; ROC AUC needs two classes"),
         ({**run_file(), "model_config": {"mlp_ratio": float("nan")}},
          "model_config holds a number that is not finite"),
-    ], ids=["empty", "schema", "key", "folds", "true_class", "class_range", "score",
+    ], ids=["empty", "schema", "schema-true", "schema-float", "key", "folds", "true_class", "class_range", "score",
             "train_config", "seed", "variant", "digest-object", "digest-int", "video_id",
             "no-folds", "empty-fold", "one-class-fold", "config-nan"])
     def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):

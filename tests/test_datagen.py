@@ -98,6 +98,18 @@ class TestMotionPatterns:
         kinds = [p.kind for p in datagen.MOTION_PATTERNS]
         assert len(set(kinds)) == 8
 
+    @pytest.mark.parametrize("kind,axes", [
+        ("approach-retreat", (0, 1)), ("brief-visit", (0, 1)), ("bedside-sweep", (1,)),
+    ])
+    def test_sweep_midpoint_is_dwell(self, kind, axes):
+        # these kinds draw a fixed sweep rather than a path around dwell; the
+        # sweep's midpoint over a long clip is still the table's dwell
+        (pattern,) = [p for p in datagen.MOTION_PATTERNS if p.kind == kind]
+        track = datagen._agent_tracks(pattern, 2400, np.random.default_rng(5))[0]
+        for axis in axes:
+            coord = track[axis]
+            assert abs((coord.min() + coord.max()) / 2 - pattern.dwell[axis]) < 0.01
+
 
 def make_entry(columns, frame_count=676, seed=99, video_id="t0"):
     labels = [0] * datagen.N_ACTIVITIES

@@ -15,7 +15,11 @@ quartiles, the number of pairs the change won (ties count for neither)
 and whether that makes a gain: wins in at least nine pairs of ten, and
 medians further apart than the parent's quartile distance. ``probe_s``
 measures the machine, not the program, and ``failed`` counts failed
-correctness checks, so neither gets a winner.
+correctness checks, so neither gets a winner. The last line is the same
+summary as one JSON object: the workload, seconds, seeds, each side's
+commit (``env.git_commit`` of its runs), and for each figure both sides'
+per-pair values, medians and quartiles, and the wins and gain verdict
+where the figure has a winner.
 
 Each run's figures come from the JSON copy of its result that run.py
 writes to ``.perfbench_out/`` in its checkout; nothing else there is
@@ -36,7 +40,8 @@ RAW_RATES = ("raw.clips_per_s", "raw.synth_clips_per_s")
 
 
 def run_once(checkout, command, workload, seed, seconds):
-    """The figures of one untraced run.py invocation in ``checkout``."""
+    """The figures of one untraced run.py invocation in ``checkout``, and
+    the commit its record names."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -49,7 +54,7 @@ def run_once(checkout, command, workload, seed, seconds):
     figures["raw.clips_per_s"] = next(named[k] for k in RAW_RATES if k in named)
     figures["probe_s"] = named["probe_s"]
     figures["failed"] = record["failed"]
-    return figures
+    return figures, record["env"]["git_commit"]
 
 
 def quartiles(values):
@@ -75,12 +80,15 @@ def main(argv=None):
     names = list(better)
 
     sides = {"parent": [], "change": []}
+    commits = {}
     for pair, seed in enumerate(args.seeds, start=1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         figures = {}
         for side in order:
             checkout = getattr(args, side).resolve()
-            figures[side] = run_once(checkout, spec["command"], args.workload, seed, seconds)
+            figures[side], commits[side] = run_once(
+                checkout, spec["command"], args.workload, seed, seconds
+            )
             sides[side].append(figures[side])
         print(f"pair {pair}  seed {seed}  {order[0]} first{'parent':>11} {'change':>12}")
         for name in names:
@@ -91,11 +99,17 @@ def main(argv=None):
     print(f"\n{args.workload}: {n} pairs of {seconds:g} s runs")
     print(f"  {'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
           f"  change won  gain")
+    summary = {}
     for name in names:
         parent = [f[name] for f in sides["parent"]]
         change = [f[name] for f in sides["change"]]
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
+        summary[name] = {
+            "parent": parent, "change": change,
+            "parent_median": pm, "parent_quartiles": [p1, p3],
+            "change_median": cm, "change_quartiles": [c1, c3],
+        }
         row = (f"  {name:<20} {pm:>12.6g} [{p1:>9.6g}, {p3:>9.6g}]"
                f" {cm:>12.6g} [{c1:>9.6g}, {c3:>9.6g}]")
         if better[name] is None:
@@ -104,7 +118,10 @@ def main(argv=None):
         sign = 1 if better[name] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         gain = wins >= math.ceil(0.9 * n) and sign * (cm - pm) > p3 - p1
+        summary[name].update(wins=wins, gain=gain)
         print(f"{row}  {wins:>4}/{n:<5}  {'yes' if gain else 'no'}")
+    print(json.dumps({"workload": args.workload, "seconds": seconds, "seeds": args.seeds,
+                      "commits": commits, "metrics": summary}))
     return 0
 
 
