@@ -741,9 +741,9 @@ class TestEval:
          "fold 0: every true_class is 3; ROC AUC needs two classes"),
         ({**run_file(), "model_config": {"mlp_ratio": float("nan")}},
          "model_config holds a number that is not finite"),
-    ], ids=["empty", "schema", "schema-true", "schema-float", "key", "folds", "true_class", "class_range", "score",
-            "train_config", "seed", "variant", "digest-object", "digest-int", "video_id",
-            "no-folds", "empty-fold", "one-class-fold", "config-nan"])
+    ], ids=["empty", "schema", "schema-true", "schema-float", "key", "folds", "true_class",
+            "class_range", "score", "train_config", "seed", "variant", "digest-object",
+            "digest-int", "video_id", "no-folds", "empty-fold", "one-class-fold", "config-nan"])
     def test_malformed_run_file_is_one_line_error(self, tmp_path, capsys, payload, message):
         run = tmp_path / "run"
         run.mkdir()
