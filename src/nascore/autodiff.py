@@ -23,6 +23,7 @@ the walk. The vjp gets back the same pair as its ``out`` argument.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -405,42 +406,73 @@ class _PooledAttention:
         )
 
 
-def _conv_windows(shape, kernel, stride, padding):
+@functools.lru_cache(maxsize=128)
+def _conv_plan(shape, kernel, stride, padding):
     """conv3d's one definition of its taps, for an input of the (C, B, T, H, W)
-    ``shape``: the interior of a zero volume padded on T, H and W, and the
-    volume's (C, kt, kh, kw, B, OT, OH, OW) view whose [c, r, u, v, b, i, j, k]
-    is the element [c, b, st*i + r, sh*j + u, sw*k + v] that tap (r, u, v)
-    reads at output (i, j, k). The view aliases memory, so nothing writes
-    through all of it at once; one tap's slice [:, r, u, v] never maps two
-    outputs onto one element, so ``+=`` through that slice is safe."""
-    c, b, *extent = shape
-    padded = np.zeros((c, b, *(n + 2 * p for n, p in zip(extent, padding))))
-    inner = (slice(None), slice(None), *(slice(p, p + n) for p, n in zip(padding, extent)))
-    sc, sb, *steps = padded.strides
-    out = [(n - k) // s + 1 for n, k, s in zip(padded.shape[2:], kernel, stride)]
-    strides = (sc, *steps, sb, *(s * e for s, e in zip(stride, steps)))
-    return padded[inner], np.lib.stride_tricks.as_strided(padded, (c, *kernel, b, *out), strides)
+    ``shape`` (Caffe's im2col, Jia et al., ACM MM 2014): the output extent
+    (OT, OH, OW), then index tuples into the (C, kt*kh*kw, B, OT, OH, OW)
+    window blocks and into x. Tap q = (r, u, v) reads x[c, b, st*i + r - pt,
+    sh*j + u - ph, sw*k + v - pw] at output (i, j, k), or a zero of the
+    padding. ``copies`` lists, in kernel order, each tap's output box where
+    it reads inside x and the strided slice of x that the box reads; a tap
+    that reads only padding has none. ``zeros`` lists the slabs of the
+    blocks that read only padding: each tap's margins around its box, or its
+    whole block. No padded volume and no view of overlapping windows exist,
+    and one tap's slice never maps two outputs onto one element of x, so
+    ``+=`` through it is safe. Cached, since a model asks for the same few
+    geometries at every step."""
+    out, axes = [], []
+    for n, k, s, p in zip(shape[2:], kernel, stride, padding):
+        out.append((n + 2 * p - k) // s + 1)
+        # tap r reads s*i + r - p, inside x for (p - r)/s <= i <= (n - 1 + p - r)/s
+        axes.append([])
+        for r in range(k):
+            lo, hi = max(0, -((r - p) // s)), min(out[-1], (n - 1 + p - r) // s + 1)
+            read = slice(s * lo + r - p, s * (hi - 1) + r - p + 1, s) if lo < hi else None
+            axes[-1].append((slice(lo, hi), read))
+    every = (slice(None),) * 3
+    copies, zeros = [], []
+    for q, tap in enumerate(itertools.product(*map(range, kernel))):
+        block = (slice(None), q, slice(None))
+        box, reads = zip(*(axis[r] for axis, r in zip(axes, tap)))
+        if None in reads:
+            zeros.append((*block, *every))
+            continue
+        copies.append(((slice(None), slice(None), *reads), (*block, *box)))
+        # the margins along each axis, within the box on the axes before it
+        for d, (span, o) in enumerate(zip(box, out)):
+            zeros += [(*block, *box[:d], slice(a, z), *every[d + 1:])
+                      for a, z in ((0, span.start), (span.stop, o)) if a < z]
+    return tuple(out), tuple(copies), tuple(zeros)
 
 
 def _conv_cols(x, kernel, stride, padding):
     """The unfold: the (C*kt*kh*kw, B*OT*OH*OW) window matrix of
-    x (C, B, T, H, W), a copy of its window view. Row (c, r, u, v) holds
-    what tap (r, u, v) of channel c reads at every output position."""
-    interior, windows = _conv_windows(x.shape, kernel, stride, padding)
-    interior[...] = x
-    return windows.reshape(len(x) * math.prod(kernel), -1)
+    x (C, B, T, H, W). Row (c, r, u, v) holds what tap (r, u, v) of channel c
+    reads at every output position: each tap's slice of x is copied into
+    its box, and only the margins are zeroed."""
+    out, copies, zeros = _conv_plan(x.shape, tuple(kernel), tuple(stride), tuple(padding))
+    c, b = x.shape[:2]
+    k = math.prod(kernel)
+    cols = np.empty((c, k, b, *out))
+    for src, dst in copies:
+        cols[dst] = x[src]
+    for dst in zeros:
+        cols[dst] = 0.0
+    return cols.reshape(c * k, -1)
 
 
 def _conv_input_grad(w, g, x_shape, stride, padding):
     """The fold, the gradient of conv3d's input x (C, B, T, H, W) for the
-    output gradient g (O, B, OT, OH, OW): each tap's (C, B, OT, OH, OW)
-    slice of w.T @ g adds through the window view, in kernel order."""
+    output gradient g (O, B, OT, OH, OW): each tap's box of w.T @ g adds
+    through its slice of x into a zero gradient, taps in kernel order."""
     o, c, *kernel = w.shape
-    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, *kernel, *g.shape[1:])
-    interior, windows = _conv_windows(x_shape, kernel, stride, padding)
-    for r, u, v in np.ndindex(*kernel):
-        windows[:, r, u, v] += taps[:, r, u, v]
-    return interior
+    taps = (w.reshape(o, -1).T @ g.reshape(o, -1)).reshape(c, -1, *g.shape[1:])
+    _, copies, _ = _conv_plan(x_shape, tuple(kernel), tuple(stride), tuple(padding))
+    gx = np.zeros(x_shape)
+    for src, dst in copies:
+        gx[src] += taps[dst]
+    return gx
 
 
 @_register("conv3d")
@@ -464,14 +496,18 @@ class _Conv3d:
         if b.shape != (o, 1, 1, 1, 1):
             raise ShapeMismatch("conv3d", f"bias of shape {(o, 1, 1, 1, 1)}", f"{b.shape}")
         stride, padding = attrs["stride"], attrs["padding"]
+        if any(s < 1 for s in stride):
+            raise ShapeMismatch("conv3d", "positive strides", f"{tuple(stride)}")
+        if any(p < 0 for p in padding):
+            raise ShapeMismatch("conv3d", "non-negative padding", f"{tuple(padding)}")
         dims = zip(x.shape[2:], w.shape[2:], stride, padding)
         out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in dims)
         if min(out) <= 0:
             raise ShapeMismatch("conv3d", "positive output extent", "x".join(map(str, out)))
-        cols = _conv_cols(x, w.shape[2:], stride, padding)
-        y = (w.reshape(o, -1) @ cols).reshape(o, x.shape[1], *out)
-        y += b
-        return np.maximum(y, 0.0, out=y)
+        y = w.reshape(o, -1) @ _conv_cols(x, w.shape[2:], stride, padding)
+        y += b.reshape(o, 1)
+        np.maximum(y, 0.0, out=y)
+        return y.reshape(o, x.shape[1], *out)
 
     @staticmethod
     def vjp(g, xs, out, attrs):
@@ -886,6 +922,9 @@ GRADCHECK_SUITE = (
      {"stride": (2, 1, 1), "padding": (1, 0, 0)}),
     # grid-shaped queries over keys and values pooled to a coarser grid
     ("pooled_attention", ((2, 2, 3, 2, 4), (2, 1, 2, 1, 4), (2, 1, 2, 1, 4)), {"heads": 2}),
+    # an unpadded 2x2x3 kernel, strided on H only
+    ("conv3d", ((2, 2, 3, 5, 5), (3, 2, 2, 2, 3), (3, 1, 1, 1, 1)),
+     {"stride": (1, 2, 1), "padding": (0, 0, 0)}),
 )
 
 

@@ -437,6 +437,27 @@ class TestForwardValues:
         for shapes, attrs in layers:
             assert_unfold_and_fold_match_loops(shapes, attrs)
 
+    @pytest.mark.parametrize("shapes,attrs", [
+        (((2, 2, 3, 4, 5), (3, 2, 2, 2, 3)), {"stride": (1, 2, 1), "padding": (0, 0, 0)}),
+        (((2, 2, 3, 4, 5), (3, 2, 2, 2, 3)), {"stride": (1, 2, 1), "padding": (2, 3, 3)}),
+        # T and H of 1 under stride 2: tap 0 of either reads only padding
+        (((2, 2, 1, 1, 3), (3, 2, 3, 3, 3)), {"stride": (2, 2, 2), "padding": (1, 1, 1)}),
+    ], ids=["unpadded", "padding-wider-than-kernel", "extent-below-stride"])
+    def test_unfold_and_fold_match_loops_on_edge_cases(self, shapes, attrs):
+        assert_unfold_and_fold_match_loops(shapes, attrs)
+        plan = ad._conv_plan(shapes[0], shapes[1][2:], attrs["stride"], attrs["padding"])
+        _, copies, _ = plan
+        # a negative start would wrap around to the far end of the axis
+        assert all(0 <= read.start < read.stop for src, _ in copies for read in src[2:])
+
+    def test_tap_reading_only_padding_is_zeroed_and_skipped(self):
+        x_shape, kernel, stride, padding = (2, 2, 1, 1, 3), (3, 3, 3), (2, 2, 2), (1, 1, 1)
+        _, copies, zeros = ad._conv_plan(x_shape, kernel, stride, padding)
+        # only taps (1, 1, v) read x: T and H have one element each
+        assert [dst[1] for _, dst in copies] == [12, 13, 14]
+        whole = {dst[1] for dst in zeros if dst[3:] == (slice(None),) * 3}
+        assert whole == set(range(27)) - {12, 13, 14}
+
 
 class TestErrors:
     def test_unknown_kind(self):
@@ -470,9 +491,14 @@ class TestErrors:
          r"three \(B, T, H\) input projections"),
         ("gru", ((2, 4, 3), (2, 4, 3), (2, 4, 3), (3, 3), (3, 2), (3, 3)), None,
          r"\(3, 3\) recurrent weights"),
+        # caught before the output extent divides by the stride
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)),
+         {"stride": (1, 0, 2), "padding": (0, 1, 1)}, r"positive strides.*\(1, 0, 2\)"),
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)),
+         {"stride": (1, 2, 2), "padding": (0, -1, 1)}, r"non-negative padding.*\(0, -1, 1\)"),
     ], ids=["linear-rank", "linear-width", "linear-bias", "layer_norm-gain", "layer_norm-shift",
             "conv3d-bias", "conv3d-input-rank", "conv3d-weight-rank", "conv3d-channels",
-            "conv3d-extent", "gru-inputs", "gru-weights"])
+            "conv3d-extent", "gru-inputs", "gru-weights", "conv3d-stride", "conv3d-padding"])
     def test_fused_op_shapes(self, kind, shapes, attrs, expected):
         with pytest.raises(ad.ShapeMismatch, match=expected):
             ad.apply(kind, [ad.tensor(np.ones(s)) for s in shapes], attrs)
@@ -688,6 +714,28 @@ class TestBackward:
             tracemalloc.stop()
         assert set(gmap) == {q.node_id, k.node_id, v.node_id}
         assert peak < 8 * b * heads * nq * nk
+
+    def test_conv3d_unfold_and_fold_allocate_no_padded_volume(self):
+        # micro-r2plus1d's b1.spatial at 72x96, batch 3: the unfold allocates
+        # only its window matrix, and the fold only w.T @ g and the gradient,
+        # plus the (at most three) buffers numpy's ufunc iterator holds for a
+        # `+=` through a strided slice; a padded copy of x would add 0.53 MB
+        rng = np.random.default_rng(23)
+        x, w = rng.standard_normal((8, 3, 16, 36, 48)), rng.standard_normal((16, 8, 1, 3, 3))
+        g = rng.standard_normal((16, 3, 16, 18, 24))
+        kernel, stride, padding = (1, 3, 3), (1, 2, 2), (0, 1, 1)
+        window_bytes = 8 * 9 * g[0].nbytes
+        peaks = []
+        for call in (lambda: ad._conv_cols(x, kernel, stride, padding),
+                     lambda: ad._conv_input_grad(w, g, x.shape, stride, padding)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.01 * window_bytes
+        assert peaks[1] <= 1.01 * (window_bytes + x.nbytes) + 3 * np.getbufsize() * 8
 
 
 class TestGradCheck:

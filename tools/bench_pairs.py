@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of one perfbench workload.
 
-    python3 tools/bench_pairs.py PARENT CHANGE WORKLOAD SEED... [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE WORKLOAD SEED... [--seconds S] [--record PATH]
 
 Runs the benchmark command of BENCHMARK.json (``perfbench/run.py``),
 untraced, from the checkout PARENT and from the checkout CHANGE once per
@@ -17,9 +17,12 @@ medians further apart than the parent's quartile distance. ``probe_s``
 measures the machine, not the program, and ``failed`` counts failed
 correctness checks, so neither gets a winner. The last line is the same
 summary as one JSON object: the workload, seconds, seeds, each side's
-commit (``env.git_commit`` of its runs), and for each figure both sides'
-per-pair values, medians and quartiles, and the wins and gain verdict
-where the figure has a winner.
+commit and thread environment (``env.git_commit`` and ``env.threads`` of
+its runs), and for each figure both sides' per-pair values, medians and
+quartiles, and the wins and gain verdict where the figure has a winner.
+``--record PATH`` also merges that object into the JSON file PATH under
+the workload's name, creating the file if it does not exist, so one file
+collects the pairs of several workloads.
 
 Each run's figures come from the JSON copy of its result that run.py
 writes to ``.perfbench_out/`` in its checkout; nothing else there is
@@ -41,7 +44,7 @@ RAW_RATES = ("raw.clips_per_s", "raw.synth_clips_per_s")
 
 def run_once(checkout, command, workload, seed, seconds):
     """The figures of one untraced run.py invocation in ``checkout``, and
-    the commit its record names."""
+    the environment its record names."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -54,7 +57,7 @@ def run_once(checkout, command, workload, seed, seconds):
     figures["raw.clips_per_s"] = next(named[k] for k in RAW_RATES if k in named)
     figures["probe_s"] = named["probe_s"]
     figures["failed"] = record["failed"]
-    return figures, record["env"]["git_commit"]
+    return figures, record["env"]
 
 
 def quartiles(values):
@@ -71,6 +74,7 @@ def main(argv=None):
     parser.add_argument("workload")
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--record", type=Path, metavar="PATH")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
@@ -80,15 +84,14 @@ def main(argv=None):
     names = list(better)
 
     sides = {"parent": [], "change": []}
-    commits = {}
+    commits, threads = {}, {}
     for pair, seed in enumerate(args.seeds, start=1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         figures = {}
         for side in order:
             checkout = getattr(args, side).resolve()
-            figures[side], commits[side] = run_once(
-                checkout, spec["command"], args.workload, seed, seconds
-            )
+            figures[side], env = run_once(checkout, spec["command"], args.workload, seed, seconds)
+            commits[side], threads[side] = env["git_commit"], env["threads"]
             sides[side].append(figures[side])
         print(f"pair {pair}  seed {seed}  {order[0]} first{'parent':>11} {'change':>12}")
         for name in names:
@@ -120,8 +123,13 @@ def main(argv=None):
         gain = wins >= math.ceil(0.9 * n) and sign * (cm - pm) > p3 - p1
         summary[name].update(wins=wins, gain=gain)
         print(f"{row}  {wins:>4}/{n:<5}  {'yes' if gain else 'no'}")
-    print(json.dumps({"workload": args.workload, "seconds": seconds, "seeds": args.seeds,
-                      "commits": commits, "metrics": summary}))
+    result = {"workload": args.workload, "seconds": seconds, "seeds": args.seeds,
+              "commits": commits, "threads": threads, "metrics": summary}
+    print(json.dumps(result))
+    if args.record:
+        recorded = json.loads(args.record.read_text()) if args.record.exists() else {}
+        recorded[args.workload] = result
+        args.record.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     return 0
 
 
