@@ -409,18 +409,19 @@ class _PooledAttention:
 @functools.lru_cache(maxsize=128)
 def _conv_plan(shape, kernel, stride, padding):
     """conv3d's one definition of its taps, for an input of the (C, B, T, H, W)
-    ``shape`` (Caffe's im2col, Jia et al., ACM MM 2014): the output extent
-    (OT, OH, OW), then index tuples into the (C, kt*kh*kw, B, OT, OH, OW)
-    window blocks and into x. Tap q = (r, u, v) reads x[c, b, st*i + r - pt,
-    sh*j + u - ph, sw*k + v - pw] at output (i, j, k), or a zero of the
-    padding. ``copies`` lists, in kernel order, each tap's output box where
-    it reads inside x and the strided slice of x that the box reads; a tap
-    that reads only padding has none. ``zeros`` lists the slabs of the
-    blocks that read only padding: each tap's margins around its box, or its
-    whole block. No padded volume and no view of overlapping windows exist,
-    and one tap's slice never maps two outputs onto one element of x, so
-    ``+=`` through it is safe. Cached, since a model asks for the same few
-    geometries at every step."""
+    ``shape``, as Caffe's im2col writes them (Jia et al., ACM MM 2014):
+    ``(out, copies, zeros)``, the output extent (OT, OH, OW) and index tuples
+    into x and into the (C, kt*kh*kw, B, OT, OH, OW) blocks of the window
+    matrix. Tap q = (r, u, v) reads x[c, b, st*i + r - pt, sh*j + u - ph,
+    sw*k + v - pw] at output (i, j, k), or a zero where that is padding.
+    ``copies`` holds, in kernel order, each tap's (slice of x, output box)
+    pair: the box is where the tap reads inside x, and the strided slice is
+    what it reads there. A tap that reads only padding has no pair.
+    ``zeros`` holds the block slabs that read only padding: each tap's
+    margins around its box, or its whole block. One tap's slice never maps
+    two outputs onto one element of x, so ``+=`` through it is safe. The
+    plan is cached, since a model asks for the same few geometries at every
+    step."""
     out, axes = [], []
     for n, k, s, p in zip(shape[2:], kernel, stride, padding):
         out.append((n + 2 * p - k) // s + 1)
@@ -481,7 +482,10 @@ class _Conv3d:
     with w (O, C, kt, kh, kw), plus b (O, 1, 1, 1, 1), then ReLU, giving
     (O, B, OT, OH, OW). It is channel-major, so with the unfold's window
     matrix cols (im2col) the forward w (O, C*kt*kh*kw) @ cols and the weight
-    gradient g (O, B*OT*OH*OW) @ cols.T are each one matmul, no transpose.
+    gradient g (O, B*OT*OH*OW) @ cols.T are each one matmul, no transpose;
+    the forward adds the bias and applies the ReLU to that 2-D product in
+    place. The unfold and the fold both follow ``_conv_plan``'s per-tap boxes
+    and slices of x, so neither pads x nor builds a view of its windows.
     The vjp masks g by out > 0 (the ReLU's derivative, 0 at the kink),
     unfolds cols afresh and frees it before the fold, skipped when x needs none."""
 
@@ -496,10 +500,10 @@ class _Conv3d:
         if b.shape != (o, 1, 1, 1, 1):
             raise ShapeMismatch("conv3d", f"bias of shape {(o, 1, 1, 1, 1)}", f"{b.shape}")
         stride, padding = attrs["stride"], attrs["padding"]
-        if any(s < 1 for s in stride):
-            raise ShapeMismatch("conv3d", "positive strides", f"{tuple(stride)}")
-        if any(p < 0 for p in padding):
-            raise ShapeMismatch("conv3d", "non-negative padding", f"{tuple(padding)}")
+        if len(stride) != 3 or any(s < 1 for s in stride):
+            raise ShapeMismatch("conv3d", "three positive strides", f"{tuple(stride)}")
+        if len(padding) != 3 or any(p < 0 for p in padding):
+            raise ShapeMismatch("conv3d", "three non-negative paddings", f"{tuple(padding)}")
         dims = zip(x.shape[2:], w.shape[2:], stride, padding)
         out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in dims)
         if min(out) <= 0:

@@ -440,13 +440,12 @@ class TestForwardValues:
     @pytest.mark.parametrize("shapes,attrs", [
         (((2, 2, 3, 4, 5), (3, 2, 2, 2, 3)), {"stride": (1, 2, 1), "padding": (0, 0, 0)}),
         (((2, 2, 3, 4, 5), (3, 2, 2, 2, 3)), {"stride": (1, 2, 1), "padding": (2, 3, 3)}),
-        # T and H of 1 under stride 2: tap 0 of either reads only padding
+        # T and H of 1 under stride 2: taps 0 and 2 of either read only padding
         (((2, 2, 1, 1, 3), (3, 2, 3, 3, 3)), {"stride": (2, 2, 2), "padding": (1, 1, 1)}),
     ], ids=["unpadded", "padding-wider-than-kernel", "extent-below-stride"])
     def test_unfold_and_fold_match_loops_on_edge_cases(self, shapes, attrs):
         assert_unfold_and_fold_match_loops(shapes, attrs)
-        plan = ad._conv_plan(shapes[0], shapes[1][2:], attrs["stride"], attrs["padding"])
-        _, copies, _ = plan
+        _, copies, _ = ad._conv_plan(shapes[0], shapes[1][2:], attrs["stride"], attrs["padding"])
         # a negative start would wrap around to the far end of the axis
         assert all(0 <= read.start < read.stop for src, _ in copies for read in src[2:])
 
@@ -493,12 +492,17 @@ class TestErrors:
          r"\(3, 3\) recurrent weights"),
         # caught before the output extent divides by the stride
         ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)),
-         {"stride": (1, 0, 2), "padding": (0, 1, 1)}, r"positive strides.*\(1, 0, 2\)"),
+         {"stride": (1, 0, 2), "padding": (0, 1, 1)}, r"three positive strides.*\(1, 0, 2\)"),
         ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)),
-         {"stride": (1, 2, 2), "padding": (0, -1, 1)}, r"non-negative padding.*\(0, -1, 1\)"),
+         {"stride": (1, 2, 2), "padding": (0, -1, 1)},
+         r"three non-negative paddings.*\(0, -1, 1\)"),
+        # zip would drop the third axis of the kernel
+        ("conv3d", ((2, 1, 1, 5, 5), (3, 2, 1, 3, 3), (3, 1, 1, 1, 1)),
+         {"stride": (1, 2), "padding": (0, 1, 1)}, r"three positive strides.*\(1, 2\)"),
     ], ids=["linear-rank", "linear-width", "linear-bias", "layer_norm-gain", "layer_norm-shift",
             "conv3d-bias", "conv3d-input-rank", "conv3d-weight-rank", "conv3d-channels",
-            "conv3d-extent", "gru-inputs", "gru-weights", "conv3d-stride", "conv3d-padding"])
+            "conv3d-extent", "gru-inputs", "gru-weights", "conv3d-stride", "conv3d-padding",
+            "conv3d-stride-count"])
     def test_fused_op_shapes(self, kind, shapes, attrs, expected):
         with pytest.raises(ad.ShapeMismatch, match=expected):
             ad.apply(kind, [ad.tensor(np.ones(s)) for s in shapes], attrs)
