@@ -207,7 +207,7 @@ def build_parser():
     p = sub.add_parser("train", help="train one (model, method) under k-fold cross-validation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, choices=sorted(MODEL_NAMES))
-    p.add_argument("--method", required=True, choices=("indirect", "direct"))
+    p.add_argument("--method", required=True, choices=training.METHODS)
     p.add_argument("--config", help="key = value overrides for train/model settings")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int, default=None)

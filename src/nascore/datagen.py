@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,20 +83,6 @@ class PlanEntry:
 class CorpusPlan:
     entries: list
     seed: int
-    occurrence_totals: tuple = field(init=False)
-    single_label_counts: tuple = field(init=False)
-
-    def __post_init__(self):
-        totals = [0] * N_ACTIVITIES
-        singles = [0] * len(RETAINED_COLUMNS)
-        for e in self.entries:
-            cols = e.label_columns
-            for c in cols:
-                totals[c] += 1
-            if len(cols) == 1 and cols[0] in RETAINED_COLUMNS:
-                singles[RETAINED_COLUMNS.index(cols[0])] += 1
-        self.occurrence_totals = tuple(totals)
-        self.single_label_counts = tuple(singles)
 
 
 def greedy_pairs(counts):
@@ -128,6 +114,25 @@ def _flags(columns):
     return tuple(labels)
 
 
+def _plan(seed, id_format, label_rows) -> CorpusPlan:
+    """One entry per label row, in order: its id is ``id_format`` of the
+    row index, its frame count the next draw of the seed's generator."""
+    rng = np.random.default_rng(seed)
+    lo, hi = FRAME_COUNT_RANGE
+    entries = []
+    for idx, labels in enumerate(label_rows):
+        video_id = id_format.format(idx)
+        entries.append(
+            PlanEntry(
+                video_id=video_id,
+                labels=labels,
+                frame_count=int(rng.integers(lo, hi + 1)),
+                seed=stable_seed(seed, video_id),
+            )
+        )
+    return CorpusPlan(entries=entries, seed=seed)
+
+
 def plan_corpus(seed: int) -> CorpusPlan:
     """Lays out the full 882-entry corpus; pure function of the seed."""
     label_rows = []
@@ -144,42 +149,13 @@ def plan_corpus(seed: int) -> CorpusPlan:
 
     label_rows.extend([_flags([])] * (TOTAL_VIDEOS - len(label_rows)))
     assert len(label_rows) == TOTAL_VIDEOS
-
-    rng = np.random.default_rng(seed)
-    lo, hi = FRAME_COUNT_RANGE
-    entries = []
-    for idx, labels in enumerate(label_rows):
-        video_id = f"vid{idx:04d}"
-        entries.append(
-            PlanEntry(
-                video_id=video_id,
-                labels=labels,
-                frame_count=int(rng.integers(lo, hi + 1)),
-                seed=stable_seed(seed, video_id),
-            )
-        )
-    return CorpusPlan(entries=entries, seed=seed)
+    return _plan(seed, "vid{:04d}", label_rows)
 
 
 def plan_smoke(seed: int) -> CorpusPlan:
     """Small separable corpus: 10 single-label clips per retained class."""
-    rng = np.random.default_rng(seed)
-    lo, hi = FRAME_COUNT_RANGE
-    entries = []
-    idx = 0
-    for col in RETAINED_COLUMNS:
-        for _ in range(SMOKE_PER_CLASS):
-            video_id = f"smoke{idx:03d}"
-            entries.append(
-                PlanEntry(
-                    video_id=video_id,
-                    labels=_flags([col]),
-                    frame_count=int(rng.integers(lo, hi + 1)),
-                    seed=stable_seed(seed, video_id),
-                )
-            )
-            idx += 1
-    return CorpusPlan(entries=entries, seed=seed)
+    label_rows = [_flags([col]) for col in RETAINED_COLUMNS for _ in range(SMOKE_PER_CLASS)]
+    return _plan(seed, "smoke{:03d}", label_rows)
 
 
 # --- motion patterns -------------------------------------------------------
@@ -411,11 +387,14 @@ def write_corpus(
     Returns the manifest path. Render seeds come from the plan entries
     unless ``seed`` is given, in which case they are re-derived from it.
     Each clip is freed once written, so at most one is in memory.
-    A failure removes the files written so far, and ``directory`` if this
-    call created it.
+    ``directory`` must be missing or empty, so a failure, which removes the
+    files written so far and ``directory`` if this call created it, leaves
+    no other corpus half deleted.
     """
     directory = Path(directory)
     created = not directory.exists()
+    if not created and any(directory.iterdir()):
+        raise FileExistsError(f"{directory}: not empty; a corpus goes in a new or empty directory")
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     try:

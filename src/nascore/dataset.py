@@ -89,14 +89,29 @@ class LabelRecord:
     clip_path: Path
 
 
-def _csv_rows(path):
-    """Yields the rows of the UTF-8 CSV file at ``path``; a row the csv
-    module cannot parse, such as one with a field over its size limit, or
-    bytes that are not UTF-8 raise ManifestError naming the file."""
+def _table_rows(path, header):
+    """Yields (line number, row) for each row after the header of the UTF-8
+    CSV table at ``path``. The first row must equal ``header``, and every
+    row has its width and a ``video_id``, its first field, that no earlier
+    row has. A failed check, a row the csv module cannot parse, such as one
+    with a field over its size limit, or bytes that are not UTF-8 raise
+    ManifestError naming the file, and the line where there is one."""
+    seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            yield from reader
+            first = next(reader, None)
+            if first != header:
+                raise ManifestError(f"{path}: bad header {first}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ManifestError(
+                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+                    )
+                if row[0] in seen:
+                    raise ManifestError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
+                seen.add(row[0])
+                yield lineno, row
         except csv.Error as exc:
             raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -106,27 +121,14 @@ def _csv_rows(path):
 def load_labels(manifest_path) -> list:
     """Parses the corpus label manifest; clip paths resolve to sibling TVFs."""
     manifest_path = Path(manifest_path)
-    expected_header = ["video_id", *ACTIVITY_FIELDS]
     records = []
-    seen = set()
-    rows = _csv_rows(manifest_path)
-    header = next(rows, None)
-    if header != expected_header:
-        raise ManifestError(f"{manifest_path}: bad header {header}")
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 1 + N_ACTIVITIES:
-            raise ManifestError(
-                f"{manifest_path}:{lineno}: expected {1 + N_ACTIVITIES} columns, got {len(row)}"
-            )
+    for lineno, row in _table_rows(manifest_path, ["video_id", *ACTIVITY_FIELDS]):
         video_id = row[0]
         # the id names its clip file in the corpus directory
         if video_id in ("", ".", "..") or any(c in video_id for c in "/\\\0"):
             raise ManifestError(
                 f"{manifest_path}:{lineno}: video_id {video_id!r} is not a file name"
             )
-        if video_id in seen:
-            raise ManifestError(f"{manifest_path}:{lineno}: duplicate video_id {video_id!r}")
-        seen.add(video_id)
         flags = []
         for value in row[1:]:
             if value not in ("0", "1"):
@@ -242,18 +244,7 @@ def load_prepared_manifest(path) -> list:
     path = Path(path)
     base = path.resolve().parent
     entries = []
-    seen = set()
-    rows = _csv_rows(path)
-    header = next(rows, None)
-    if header != PREPARED_HEADER:
-        raise ManifestError(f"{path}: bad header {header}")
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 4:
-            raise ManifestError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        video_id, class_text, nas_text, clip = row
-        if video_id in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
-        seen.add(video_id)
+    for lineno, (video_id, class_text, nas_text, clip) in _table_rows(path, PREPARED_HEADER):
         try:
             class_index = int(class_text)
         except ValueError:

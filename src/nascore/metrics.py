@@ -159,7 +159,7 @@ def emit_report(results, path, provenance=None) -> Path:
     (per-fold metric dicts) and "average" (the aggregate). Each row is the
     average with a "per_fold" list of every averaged metric.
     """
-    report = {"indirect": {}, "direct": {}, "provenance": provenance or {}}
+    report = {**{method: {} for method in METRICS}, "provenance": provenance or {}}
     for (variant, method), bundle in sorted(results.items()):
         average, folds = bundle["average"], bundle["folds"]
         per_fold = {name: [f[name] for f in folds] for name in average if name != AUC_EXCLUDED}

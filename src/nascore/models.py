@@ -232,16 +232,6 @@ def patch_grid_dims(config: MvitConfig):
     return (N_FRAMES // pt, _ceil_div(h, ph), _ceil_div(w, pw))
 
 
-def stage_schedule(config: MvitConfig):
-    """(grid dims, channel width) at which each stage's blocks operate."""
-    dims = patch_grid_dims(config)
-    schedule = [(dims, config.embed_dims[0])]
-    for dim in config.embed_dims[1:]:
-        dims = tuple(_ceil_div(n, s) for n, s in zip(dims, config.stage_stride))
-        schedule.append((dims, dim))
-    return schedule
-
-
 def kv_stride_schedule(config: MvitConfig):
     """The K/V pooling stride of each stage on its query grid: kv_stride *
     stage_stride ** (S-1-s) per axis for stage s of S. Each stage transition

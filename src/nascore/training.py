@@ -322,15 +322,7 @@ class ExperimentRun:
     SCHEMA = 1
 
     def to_json(self):
-        payload = {
-            "schema": self.SCHEMA,
-            "variant": self.variant,
-            "method": self.method,
-            "train_config": self.train_config,
-            "model_config": self.model_config,
-            "corpus_digest": self.corpus_digest,
-            "folds": self.folds,
-        }
+        payload = {"schema": self.SCHEMA, **asdict(self)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod

@@ -83,9 +83,32 @@ class TestSynth:
         monkeypatch.setattr(datagen, "render_clip", fail_third)
         out = tmp_path / "existing"
         out.mkdir()
-        (out / "keep.txt").write_text("kept\n")
         assert run_cli("synth", "--out", out, "--geometry", "4x2", "--smoke") == 1
-        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_out_holding_files_is_refused_before_rendering(self, tmp_path, capsys, monkeypatch):
+        # a failed rewrite of an older corpus would remove the clips it had
+        # overwritten, while that corpus's labels.csv still lists them
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", out, "--seed", 0, "--geometry", "4x2", "--smoke") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        render = datagen.render_clip
+        calls = []
+
+        def fail_fourth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise MemoryError("fourth clip")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "render_clip", fail_fourth)
+        assert run_cli("synth", "--out", out, "--seed", 1, "--geometry", "4x2", "--smoke") == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: not empty; a corpus goes in a new or empty directory\n"
+        )
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import struct
 import tempfile
 import weakref
@@ -45,11 +47,13 @@ class TestPlanCorpus:
         assert len(plan.entries) == 882
 
     def test_occurrence_totals_match_before_column(self, plan):
-        assert plan.occurrence_totals[:14] == datagen.BEFORE_COUNTS
-        assert plan.occurrence_totals[14:] == (0,) * 9
+        totals = tuple(map(sum, zip(*(e.labels for e in plan.entries))))
+        assert totals[:14] == datagen.BEFORE_COUNTS
+        assert totals[14:] == (0,) * 9
 
     def test_single_label_counts_match_after_column(self, plan):
-        assert plan.single_label_counts == datagen.AFTER_COUNTS
+        records = [dataset.LabelRecord(e.video_id, e.labels, None) for e in plan.entries]
+        assert dataset.reduce_labels(records).class_counts == datagen.AFTER_COUNTS
         singles = [
             e for e in plan.entries
             if len(e.label_columns) == 1 and e.label_columns[0] in datagen.RETAINED_COLUMNS
@@ -84,6 +88,34 @@ class TestPlanCorpus:
             (col,) = e.label_columns
             per_class[col] = per_class.get(col, 0) + 1
         assert per_class == {c: 10 for c in datagen.RETAINED_COLUMNS}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """The plan rows, labels.csv and prepared.csv of seed 0, byte for byte."""
+
+    @pytest.mark.parametrize("planner, min_count, labels, rows, prepared", [
+        (datagen.plan_corpus, 50,
+         "e444214637061442f3a0d7c5733f3ea5a46a198a30e2cf8165ab00198ece5a28",
+         "4bbce4c3cb9b5aad86339bc5c6b16747110d0ee6ada9c12541dc10d5441f7ff1",
+         "c13cd6450edafad7ab6940e8c8f8447d945466db44ac792b08bd8db2127f52d6"),
+        (datagen.plan_smoke, 1,
+         "e939c2882d5276e5054153259f273b45a8903ac4bfa8f49b1786c552db29fca4",
+         "15fea7697c182e0e78dc6916bcdadfd20a287e7923183be089ac855a7caeeb3b",
+         "092c4c8ba1193ce6ec906b767ad4e1189045ccf94c6d80a6fb496e8f7d490981"),
+    ], ids=["full", "smoke"])
+    def test_digests(self, tmp_path, planner, min_count, labels, rows, prepared):
+        plan = planner(0)
+        text = "\n".join(f"{e.video_id},{e.frame_count},{e.seed}" for e in plan.entries)
+        assert _sha256(text.encode()) == rows
+        manifest = datagen.write_manifest(plan, tmp_path / "corpus")
+        assert _sha256(manifest.read_bytes()) == labels
+        reduced = dataset.reduce_labels(dataset.load_labels(manifest), min_count=min_count)
+        out = dataset.write_prepared_manifest(reduced, tmp_path / "prepared.csv")
+        assert _sha256(out.read_bytes()) == prepared
 
 
 class TestMotionPatterns:
@@ -325,6 +357,30 @@ class TestWriteCorpus:
                              geometry=GEOM)
         assert alive_at_render == [0, 0, 0]
         assert all(ref() is None for ref in clips)
+
+    def test_refuses_a_directory_holding_files(self, tmp_path, monkeypatch):
+        # a failed write removes what it wrote, which would include the
+        # clips of an older corpus it had overwritten
+        plan = datagen.plan_smoke(3)
+        sub = datagen.CorpusPlan(entries=plan.entries[:2], seed=plan.seed)
+        datagen.write_corpus(sub, tmp_path, geometry=GEOM)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("a clip was rendered")
+
+        monkeypatch.setattr(datagen, "render_clip", no_render)
+        with pytest.raises(FileExistsError, match=f"^{re.escape(str(tmp_path))}: not empty"):
+            datagen.write_corpus(sub, tmp_path, geometry=GEOM)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_empty_directory_is_written(self, tmp_path):
+        plan = datagen.plan_smoke(3)
+        sub = datagen.CorpusPlan(entries=plan.entries[:1], seed=plan.seed)
+        out = tmp_path / "empty"
+        out.mkdir()
+        datagen.write_corpus(sub, out, geometry=GEOM)
+        assert sorted(p.name for p in out.iterdir()) == ["labels.csv", "smoke000.tvf"]
 
 
 class TestTvf:

@@ -334,11 +334,6 @@ class TestForward:
         capture = []
         model.forward(random_batch(np.random.default_rng(3), 1, (32, 32)), capture=capture)
         assert capture == [((8, 8, 8), 16), ((8, 4, 4), 32), ((8, 2, 2), 64)]
-        assert models.stage_schedule(cfg) == [
-            ((8, 8, 8), 16),
-            ((8, 4, 4), 32),
-            ((8, 2, 2), 64),
-        ]
 
     @pytest.mark.parametrize("frame_hw,keys", [((72, 96), 72), ((24, 32), 8), ((32, 32), 8)])
     def test_mvit_kv_grid_is_the_same_in_every_stage(self, monkeypatch, frame_hw, keys):
@@ -408,8 +403,12 @@ class TestForward:
 
     def test_multiscale_schedule_monotone(self):
         cfg = models.default_config("mini-mvit", "classify-8", (32, 24))
-        schedule = models.stage_schedule(cfg)
-        for (d0, c0), (d1, c1) in zip(schedule, schedule[1:]):
+        capture = []
+        models.build_model(cfg).forward(
+            random_batch(np.random.default_rng(4), 1, (32, 24)), capture=capture
+        )
+        assert len(capture) == len(cfg.embed_dims)
+        for (d0, c0), (d1, c1) in zip(capture, capture[1:]):
             assert int(np.prod(d1)) < int(np.prod(d0))
             assert c1 == 2 * c0
 
