@@ -374,14 +374,6 @@ class TestWriteCorpus:
             datagen.write_corpus(sub, tmp_path, geometry=GEOM)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_empty_directory_is_written(self, tmp_path):
-        plan = datagen.plan_smoke(3)
-        sub = datagen.CorpusPlan(entries=plan.entries[:1], seed=plan.seed)
-        out = tmp_path / "empty"
-        out.mkdir()
-        datagen.write_corpus(sub, out, geometry=GEOM)
-        assert sorted(p.name for p in out.iterdir()) == ["labels.csv", "smoke000.tvf"]
-
 
 class TestTvf:
     def test_header_round_trip(self, tmp_path):
