@@ -20,6 +20,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -387,28 +388,16 @@ def write_corpus(
     Returns the manifest path. Render seeds come from the plan entries
     unless ``seed`` is given, in which case they are re-derived from it.
     Each clip is freed once written, so at most one is in memory.
-    ``directory`` must be missing or empty, so a failure, which removes the
-    files written so far and ``directory`` if this call created it, leaves
-    no other corpus half deleted.
+    ``tvf.write_out_dir`` writes the files: ``directory`` must be missing
+    or empty, which is checked before any clip is rendered; ``labels.csv``
+    comes last; and a failure leaves no file of this call behind.
     """
-    directory = Path(directory)
-    created = not directory.exists()
-    if not created and any(directory.iterdir()):
-        raise FileExistsError(f"{directory}: not empty; a corpus goes in a new or empty directory")
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for entry in plan.entries:
-            render_seed = entry.seed if seed is None else stable_seed(seed, entry.video_id)
-            clip = render_clip(entry, geometry=geometry, seed=render_seed, agent_scale=agent_scale)
-            written.append(tvf.clip_path(directory, entry.video_id))
-            tvf.write_clip(written[-1], clip)
-            del clip  # so the next clip renders with no other clip alive
-        written.append(directory / MANIFEST_NAME)
-        return write_manifest(plan, directory)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        if created:
-            directory.rmdir()
-        raise
+
+    def render_to(entry, path):
+        render_seed = entry.seed if seed is None else stable_seed(seed, entry.video_id)
+        clip = render_clip(entry, geometry=geometry, seed=render_seed, agent_scale=agent_scale)
+        tvf.write_clip(path, clip)
+
+    writers = {tvf.clip_path(directory, e.video_id).name: partial(render_to, e) for e in plan.entries}
+    writers[MANIFEST_NAME] = lambda path: write_manifest(plan, path.parent)
+    return tvf.write_out_dir(directory, writers)

@@ -90,8 +90,8 @@ class LabelRecord:
 
 
 def _table_rows(path, header):
-    """Yields (line number, row) for each row after the header of the UTF-8
-    CSV table at ``path``. The first row must equal ``header``, and every
+    """Yields (the line it starts on, row) for each row after the header of
+    the UTF-8 CSV table at ``path``. The first row must equal ``header``, and every
     row has its width and a ``video_id``, its first field, that no earlier
     row has. A failed check, a row the csv module cannot parse, such as one
     with a field over its size limit, or bytes that are not UTF-8 raise
@@ -103,7 +103,8 @@ def _table_rows(path, header):
             first = next(reader, None)
             if first != header:
                 raise ManifestError(f"{path}: bad header {first}")
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1  # a quoted field may span lines
+            for row in reader:
                 if len(row) != len(header):
                     raise ManifestError(
                         f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
@@ -112,6 +113,7 @@ def _table_rows(path, header):
                     raise ManifestError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
                 seen.add(row[0])
                 yield lineno, row
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 from functools import partial
@@ -467,14 +466,14 @@ def run_experiment(
     once, from the pool's initializer.
     Results come back in fold-index order whatever the worker scheduling,
     and every randomness source derives from config.seed, so reruns are
-    byte-identical. ``run_dir`` is checked before any clip is read, but
-    created and written only once every fold has trained, and its files
-    take their names only once all are written, so a run that fails
-    leaves nothing behind.
+    byte-identical. ``run_dir`` must be missing or empty, checked before any
+    clip is read; ``tvf.write_out_dir`` creates and writes it once every
+    fold has trained, ``predictions.json`` last, so a failed run leaves
+    nothing behind.
     """
     config.validate()
     if run_dir is not None:
-        _check_run_dir(Path(run_dir))
+        tvf.check_out_dir(run_dir)
     entries = dataset.load_prepared_manifest(manifest_path)
     _, h, w, _ = tvf.read_header(entries[0].clip_path)
     head = METHOD_HEADS[config.method]
@@ -508,37 +507,9 @@ def run_experiment(
             f"fold{fold['fold_index']}.ckpt": partial(models.save_checkpoint, model)
             for fold, model in results
         }
-        writers["predictions.json"] = lambda path: path.write_text(run.to_json())
         writers["config.txt"] = lambda path: write_config_echo(path, run.train_config | settings)
         writers["digest.txt"] = lambda path: path.write_text(run.corpus_digest + "\n")
-        _write_run_dir(Path(run_dir), writers)
+        writers["predictions.json"] = lambda path: path.write_text(run.to_json())
+        tvf.write_out_dir(run_dir, writers)
     return run
 
-
-def _check_run_dir(run_dir):
-    """Raises NotADirectoryError unless ``run_dir`` can be made a directory:
-    it is one if it exists, and its nearest existing ancestor is one."""
-    existing = next(p for p in (run_dir, *run_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"{run_dir}: {existing} is not a directory")
-
-
-def _write_run_dir(run_dir, writers):
-    """Calls each ``writers[name](path)`` on a temporary name in ``run_dir``
-    and moves the files to their names only once all are written, so a
-    failed write leaves no run file, and no ``run_dir`` it created."""
-    created = not run_dir.exists()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    staged = []
-    try:
-        for name, write in writers.items():
-            staged.append((run_dir / f".{name}.tmp", run_dir / name))
-            write(staged[-1][0])
-    except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        if created:
-            run_dir.rmdir()
-        raise
-    for tmp, path in staged:
-        os.replace(tmp, path)

@@ -4,6 +4,8 @@ Binary, little-endian: magic ``TVF1``, u32 frame count T, u32 H, u32 W,
 u32 frames-per-second, u8 dtype code (0 = unsigned 16-bit), 3 reserved
 zero bytes, then T*H*W u16 samples, frame-major and row-major within each
 frame.
+
+``write_out_dir`` is the one writer of an output directory, a corpus or a run.
 """
 
 from __future__ import annotations
@@ -91,3 +93,37 @@ def read_frames(path, indices) -> np.ndarray:
 
 def clip_path(directory, video_id) -> Path:
     return Path(directory) / f"{video_id}.tvf"
+
+
+def check_out_dir(directory):
+    """Raises unless ``directory`` is an empty directory, or is missing and
+    its nearest existing ancestor is a directory."""
+    directory = Path(directory)
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{directory}: {existing} is not a directory")
+    if existing == directory and any(directory.iterdir()):
+        raise FileExistsError(f"{directory}: not empty; output goes only in a new or empty directory")
+
+
+def write_out_dir(directory, writers):
+    """Checks ``directory``, then calls each ``writers[name](directory / name)``
+    in order and returns the last path, the file that marks the output
+    complete. On any exception it deletes every file it started and
+    ``directory`` if it created it, and re-raises."""
+    directory = Path(directory)
+    check_out_dir(directory)
+    created = not directory.exists()
+    directory.mkdir(parents=True, exist_ok=True)
+    started = []
+    try:
+        for name, write in writers.items():
+            started.append(directory / name)
+            write(started[-1])
+        return started[-1]
+    except BaseException:
+        for path in started:
+            path.unlink(missing_ok=True)
+        if created:
+            directory.rmdir()
+        raise

@@ -105,10 +105,25 @@ class TestSynth:
         monkeypatch.setattr(datagen, "render_clip", fail_fourth)
         assert run_cli("synth", "--out", out, "--seed", 1, "--geometry", "4x2", "--smoke") == 1
         assert capsys.readouterr().err == (
-            f"error: {out}: not empty; a corpus goes in a new or empty directory\n"
+            f"error: {out}: not empty; output goes only in a new or empty directory\n"
         )
         assert calls == []
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    def test_out_that_cannot_be_a_directory_fails_before_rendering(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        def no_render(*args, **kwargs):
+            raise AssertionError("a clip was rendered")
+
+        monkeypatch.setattr(datagen, "render_clip", no_render)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "corpus" if under else blocker
+        assert run_cli("synth", "--out", out, "--geometry", "4x2", "--smoke") == 1
+        assert capsys.readouterr().err == f"error: {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.fixture(scope="module")
@@ -281,9 +296,9 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {manifest}: no entries\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    @pytest.mark.parametrize("kind", ["under-a-file", "a-file", "holding-a-run"])
     def test_out_that_cannot_be_a_directory_fails_before_training(
-        self, mini_pipeline, tmp_path, capsys, monkeypatch, under
+        self, mini_pipeline, tmp_path, capsys, monkeypatch, kind
     ):
         _, prepared, config = mini_pipeline
 
@@ -293,13 +308,46 @@ class TestTrain:
         monkeypatch.setattr(training, "train_fold", no_training)
         monkeypatch.setattr(tvf, "read_frames", no_read)
         blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory\n")
-        out = blocker / "run" if under else blocker
+        if kind == "holding-a-run":
+            blocker.mkdir()
+            kept = blocker / "predictions.json"
+            out, error = blocker, "not empty; output goes only in a new or empty directory"
+        else:
+            kept = blocker
+            out = blocker / "run" if kind == "under-a-file" else blocker
+            error = f"{blocker} is not a directory"
+        kept.write_text("not a directory\n")
         code = run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
                        "--method", "indirect", "--config", config, "--out", out)
         assert code == 1
-        assert capsys.readouterr().err == f"error: {out}: {blocker} is not a directory\n"
-        assert blocker.read_text() == "not a directory\n"
+        assert capsys.readouterr().err == f"error: {out}: {error}\n"
+        assert kept.read_text() == "not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == sorted({blocker, kept})
+
+    def test_rerun_into_a_run_directory_is_refused(
+        self, mini_pipeline, tmp_path, capsys, monkeypatch
+    ):
+        # a 3-fold run written over a 5-fold one would leave fold3.ckpt and
+        # fold4.ckpt next to a 3-fold predictions.json
+        _, prepared, _ = mini_pipeline
+        out = tmp_path / "run"
+
+        def train(folds):
+            config = tmp_path / f"folds{folds}.cfg"
+            config.write_text(f"epochs = 1\nfolds = {folds}\n")
+            return run_cli("train", "--manifest", prepared, "--model", "cnnrnn",
+                           "--method", "indirect", "--config", config, "--out", out)
+
+        assert train(5) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        folds = [f"fold{k}.ckpt" for k in range(5)]
+        assert sorted(first) == ["config.txt", "digest.txt", *folds, "predictions.json"]
+        capsys.readouterr()
+        monkeypatch.setattr(tvf, "read_frames", no_read)
+        assert train(3) == 1
+        expected = f"error: {out}: not empty; output goes only in a new or empty directory\n"
+        assert capsys.readouterr().err == expected
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_geometry_override_mismatch_leaves_no_run_directory(
         self, mini_pipeline, tmp_path, capsys, monkeypatch

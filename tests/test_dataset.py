@@ -77,6 +77,13 @@ class TestLoadLabels:
         with pytest.raises(dataset.ManifestError, match=":2: field larger than field limit"):
             dataset.load_labels(path)
 
+    def test_line_after_a_field_that_spans_lines(self, tmp_path):
+        # the quoted id of row 2 spans lines 2 and 3, so row 3 starts on line 4
+        rows = ['"a\nb"' + single_label_row("", 0), single_label_row("v0", 0).replace("1", "2")]
+        path = write_rows(tmp_path / "labels.csv", rows)
+        with pytest.raises(dataset.ManifestError, match=re.escape(f"{path}:4: malformed flag '2'")):
+            dataset.load_labels(path)
+
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = write_rows(tmp_path / "labels.csv", [single_label_row("v0", 0)])
         path.write_bytes(path.read_bytes().replace(b"v0", b"v\xff"))
@@ -332,6 +339,13 @@ class TestPreparedManifest:
             except dataset.ManifestError:
                 return
         assert all(0 <= e.class_index < len(dataset.ACTIVITY_TABLE) for e in entries)
+
+    def test_line_after_a_field_that_spans_lines(self, tmp_path):
+        # the quoted id of row 2 spans lines 2 and 3, so row 3 starts on line 4
+        path = tmp_path / "prepared.csv"
+        path.write_text(",".join(dataset.PREPARED_HEADER) + '\n"a\nb",6,5.60,a.tvf\nv1,9,5.60,v1.tvf\n')
+        with pytest.raises(dataset.ManifestError, match=re.escape(f"{path}:4: class_index 9 outside")):
+            dataset.load_prepared_manifest(path)
 
     def test_oversized_field(self, tmp_path):
         path = tmp_path / "prepared.csv"

@@ -462,7 +462,7 @@ class TestRunExperiment:
         echo = (run_dir / "config.txt").read_text().splitlines()
         assert "embed_dims = 8,16,32" in echo and "epochs = 2" in echo
         for k in (0, 1):
-            model = trained[f".fold{k}.ckpt.tmp"]
+            model = trained[f"fold{k}.ckpt"]
             seed = datagen.stable_seed(0, k, "init")
             assert model.config == replace(tiny_model_config("classify-8"), seed=seed)
             parts = checkpoint_parts(run_dir / f"fold{k}.ckpt")
@@ -487,6 +487,26 @@ class TestRunExperiment:
                     tiny_corpus, tiny_train_config(epochs=0), model_overrides=TINY_OVERRIDES,
                     run_dir=run_dir,
                 )
-        assert len(saved) == 2  # the first fold's checkpoint was written, each time
+        # the first fold's checkpoint was written under its own name, each time
+        assert saved == [existing / "fold0.ckpt", fresh / "fold0.ckpt"]
         assert list(existing.iterdir()) == []
         assert not fresh.exists()
+
+    def test_predictions_are_written_last(self, tiny_corpus, tmp_path, monkeypatch):
+        # every other run file is in place before predictions.json is
+        # written, and a failure there still removes them all
+        written = []
+
+        def fail(run):
+            written.extend(sorted(p.name for p in run_dir.iterdir()))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training.ExperimentRun, "to_json", fail)
+        run_dir = tmp_path / "run"
+        with pytest.raises(OSError, match="disk full"):
+            training.run_experiment(
+                tiny_corpus, tiny_train_config(epochs=0), model_overrides=TINY_OVERRIDES,
+                run_dir=run_dir,
+            )
+        assert written == ["config.txt", "digest.txt", "fold0.ckpt", "fold1.ckpt"]
+        assert not run_dir.exists()
