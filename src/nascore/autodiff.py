@@ -55,12 +55,19 @@ class GraphError(AutodiffError):
 
 
 _node_counter = itertools.count()
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
 class OpNode:
+    """One recorded op: its input tensors and their arrays, and its attrs
+    with ``"needs"``, one bool per input, whether the input requires grad.
+    The vjp gets ``arrays`` and ``attrs`` as they are, so the walk builds
+    neither again."""
+
     kind: str
     inputs: tuple
+    arrays: tuple
     attrs: dict
     residual: object = None
 
@@ -74,7 +81,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node_id", "op")
 
     def __init__(self, data, requires_grad=False, _op=None, _checked=False):
-        arr = np.asarray(data, dtype=np.float64)
+        if type(data) is np.ndarray and data.dtype is _FLOAT64:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         if not _checked:
@@ -101,14 +111,19 @@ def tensor(data, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
-def all_finite(arr):
-    """True when no value of ``arr`` is NaN or +-inf."""
+def _sum_or_exact_finite(arr):
+    """``all_finite`` for a caller that already ignores overflow and invalid
+    values in an ``np.errstate``."""
     # a single-pass reduction is cheaper than isfinite().all(); NaN and
     # +-inf both poison the sum. The sum itself can overflow on huge finite
     # values, or meet inf + -inf, so confirm with the exact check.
+    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(np.isfinite(arr).all())
+
+
+def all_finite(arr):
+    """True when no value of ``arr`` is NaN or +-inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fast = float(arr.sum()) if arr.size else 0.0
-    return math.isfinite(fast) or bool(np.isfinite(arr).all())
+        return _sum_or_exact_finite(arr)
 
 
 def _require_finite(arr, where):
@@ -170,6 +185,27 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
+def _shared(make):
+    """``make`` cached per argument tuple, its array made read-only: a
+    shape-only constant is built once and shared by every call."""
+
+    @functools.lru_cache(maxsize=128)
+    @functools.wraps(make)
+    def cached(*args):
+        out = make(*args)
+        out.flags.writeable = False
+        return out
+
+    return cached
+
+
+@_shared
+def _ones(n):
+    """The (n,) ones vector that sums the rows of an (n, C) array as a GEMV."""
+    return np.ones(n)
+
+
+@_shared
 def _row_mean(c):
     """The (C, 1) column that takes row means of a (..., C) array as a GEMV:
     numpy's own reduction along an axis only C = 8..72 wide runs several
@@ -203,7 +239,7 @@ class _Linear:
         return (
             (rows @ w.T).reshape(x.shape) if nx else None,
             _rows(x).T @ rows if nw else None,
-            np.ones(len(rows)) @ rows if nb else None,
+            _ones(len(rows)) @ rows if nb else None,
         )
 
 
@@ -278,7 +314,7 @@ class _LayerNorm:
             gh -= gm
             gh -= xhat * gxm
             gx = (gh * inv).reshape(g.shape)
-        ones = np.ones(len(rows))
+        ones = _ones(len(rows))
         return (
             gx,
             ones @ (rows * xhat) if ngain else None,
@@ -355,7 +391,7 @@ class _PooledAttention:
         # out of place: at one head, _split_heads returns a view of q
         qh = _split_heads(q, heads) * (1.0 / math.sqrt(c // heads))
         kh, vh = _split_heads(k, heads), _split_heads(v, heads)
-        ones = np.ones(k.shape[1])
+        ones = _ones(k.shape[1])
         ctx = np.empty(qh.shape)
         lse = np.empty((b, heads, 1, nq))
         for rows in _query_tiles(b, heads, nq, k.shape[1]):
@@ -378,7 +414,7 @@ class _PooledAttention:
         nq_, nk_, nv_ = attrs["needs"]
         gc = _split_heads(g.reshape(b, nq, h * d), h)
         # softmax-vjp row term per (batch, head, query): rowsum(g * ctx)
-        rowdot = ((g * ctx).reshape(-1, d) @ np.ones(d)).reshape(b, nq, h).transpose(0, 2, 1)
+        rowdot = ((g * ctx).reshape(-1, d) @ _ones(d)).reshape(b, nq, h).transpose(0, 2, 1)
         rowdot = rowdot[:, :, None]
         gq = np.empty(qh.shape) if nq_ else None
         gk = np.zeros(kh.shape) if nk_ else None
@@ -530,13 +566,11 @@ class _Conv3d:
 
 
 def _sigmoid(x):
-    """1 / (1 + e^-x), with exp taken only of non-positive values."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) where x >= 0, else e^x / (1 + e^x): e = exp(-|x|)
+    is e^-x or e^x, so exp is taken only of non-positive values."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @_register("gru")
@@ -600,8 +634,10 @@ class _Gru:
         return tuple(grads)
 
 
+@_shared
 def _pool_counts(dims, stride):
-    """Per-output-cell coverage for ceil-mode pooling (truncated windows)."""
+    """Per-output-cell coverage for ceil-mode pooling (truncated windows),
+    of the output grid's shape."""
     outs = [math.ceil(n / s) for n, s in zip(dims, stride)]
     counts = np.ones(outs)
     for axis, (n, s, m) in enumerate(zip(dims, stride, outs)):
@@ -610,7 +646,7 @@ def _pool_counts(dims, stride):
         shape = [1] * len(outs)
         shape[axis] = m
         counts = counts * per.reshape(shape)
-    return outs, counts
+    return counts
 
 
 @_register("avg_pool")
@@ -631,7 +667,8 @@ class _AvgPool:
         if any(s < 1 for s in stride):
             raise ShapeMismatch("avg_pool", "positive strides", f"{stride}")
         dims = x.shape[1:-1]
-        outs, counts = _pool_counts(dims, stride)
+        counts = _pool_counts(dims, stride)
+        outs = counts.shape
         padded = [m * s for m, s in zip(outs, stride)]
         xp = np.zeros((x.shape[0], *padded, x.shape[-1]))
         xp[(slice(None), *[slice(0, n) for n in dims], slice(None))] = x
@@ -647,7 +684,8 @@ class _AvgPool:
         stride = tuple(attrs["stride"])
         k = len(stride)
         dims = x.shape[1:-1]
-        outs, counts = _pool_counts(dims, stride)
+        counts = _pool_counts(dims, stride)
+        outs = counts.shape
         gn = g / counts[None, ..., None]
         expand = gn.reshape(
             g.shape[0], *itertools.chain(*zip(outs, [1] * k)), g.shape[-1]
@@ -735,19 +773,24 @@ def apply(kind, inputs, attrs=None):
     Inputs must be Tensors; all values are finite by construction and the
     output is verified finite (overflow raises instead of propagating).
     """
-    if kind not in _OPS:
+    op = _OPS.get(kind)
+    if op is None:
         raise UnknownOpError(f"unknown op kind {kind!r}")
     attrs = {} if attrs is None else attrs
     arrays = tuple(t.data for t in inputs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _OPS[kind].forward(arrays, attrs)
-    residual = None
-    if isinstance(out, tuple):
-        out, residual = out
-    _require_finite(out, f"{kind} output")
-    requires = any(t.requires_grad for t in inputs)
-    node = OpNode(kind, tuple(inputs), attrs, residual) if requires else None
-    return Tensor(out, requires_grad=requires, _op=node, _checked=True)
+        out = op.forward(arrays, attrs)
+        residual = None
+        if isinstance(out, tuple):
+            out, residual = out
+        finite = _sum_or_exact_finite(out)
+    if not finite:
+        raise NonFiniteError(f"non-finite values in {kind} output")
+    needs = tuple(t.requires_grad for t in inputs)
+    if True not in needs:
+        return Tensor(out, _checked=True)
+    node = OpNode(kind, tuple(inputs), arrays, {**attrs, "needs": needs}, residual)
+    return Tensor(out, requires_grad=True, _op=node, _checked=True)
 
 
 def vjp(out, grad):
@@ -788,9 +831,7 @@ def vjp(out, grad):
             leaf_grads[t.node_id] = Tensor(g, _checked=True)
             continue
         y = t.data if op.residual is None else (t.data, op.residual)
-        needs = tuple(i.requires_grad for i in op.inputs)
-        arrays = tuple(i.data for i in op.inputs)
-        input_grads = _OPS[op.kind].vjp(g, arrays, y, {**op.attrs, "needs": needs})
+        input_grads = _OPS[op.kind].vjp(g, op.arrays, y, op.attrs)
         for inp, ig in zip(op.inputs, input_grads):
             if not inp.requires_grad:
                 continue

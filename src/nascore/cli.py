@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification or data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -58,7 +59,16 @@ def cmd_synth(args):
     return 0
 
 
+def check_new_file(path):
+    """Raises unless nothing is at ``path``. prep and eval each write one
+    file, and never over another, such as a corpus's labels.csv or a run's
+    predictions.json."""
+    if os.path.lexists(path):
+        raise CliError(f"{path}: already exists; output goes only to a new file")
+
+
 def cmd_prep(args):
+    check_new_file(args.out)
     records = dataset.load_labels(Path(args.corpus) / datagen.MANIFEST_NAME)
     manifest = dataset.reduce_labels(records, rule=args.rule, min_count=args.min_count)
     out = dataset.write_prepared_manifest(manifest, args.out)
@@ -138,6 +148,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    check_new_file(args.out)
     results = {}
     provenance = {"runs": {}}
     digests = {}
@@ -199,7 +210,7 @@ def build_parser():
 
     p = sub.add_parser("prep", help="reduce labels and emit the training manifest")
     p.add_argument("--corpus", required=True, help="corpus directory from synth")
-    p.add_argument("--out", required=True, help="prepared manifest file")
+    p.add_argument("--out", required=True, help="prepared manifest file, a new path")
     p.add_argument("--rule", choices=("before", "after"), default="before")
     p.add_argument("--min-count", type=positive_int, default=dataset.OCCURRENCE_THRESHOLD)
     p.set_defaults(func=cmd_prep)
@@ -217,7 +228,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="aggregate run directories into one report")
     p.add_argument("--runs", required=True, nargs="+", help="run directories from train")
-    p.add_argument("--out", required=True, help="report file")
+    p.add_argument("--out", required=True, help="report file, a new path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run built-in verification suites")

@@ -331,6 +331,33 @@ class TestForwardValues:
         out = ad.avg_pool(x, stride=(2,))
         np.testing.assert_allclose(out.data[0, :, 0], [0.5, 2.5, 4.0])
 
+    @pytest.mark.parametrize("constant, args, fresh", [
+        (ad._ones, (5,), np.ones(5)),
+        (ad._row_mean, (4,), np.full((4, 1), 0.25)),
+        (ad._pool_counts, ((5, 4), (2, 2)), np.array([[4.0, 4.0], [4.0, 4.0], [2.0, 2.0]])),
+    ], ids=["ones", "row_mean", "pool_counts"])
+    def test_shape_constants_are_shared_and_read_only(self, constant, args, fresh):
+        first = constant(*args)
+        assert constant(*args) is first
+        assert_same_bits(first, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            first[...] = 0.0
+        assert_same_bits(first, fresh)
+
+    def test_sigmoid_matches_the_masked_form(self):
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        magnitudes = [0.0, 1e-300, 1.0, 36.0, 745.0, 800.0]
+        x = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+        assert np.signbit(x).tolist() == [False, True] * len(magnitudes)
+        assert_same_bits(ad._sigmoid(x), masked(x))
+
     def test_determinism(self):
         rng = np.random.default_rng(0)
         q, k, v = (ad.tensor(rng.standard_normal((2, n, 6))) for n in (5, 3, 3))
@@ -533,6 +560,18 @@ class TestErrors:
         big = ad.tensor(np.full((2,), 1e308))
         with pytest.raises(ad.NonFiniteError):
             ad.add(big, big)
+
+    def test_finite_output_whose_sum_overflows_passes(self):
+        # the fast check's sum is inf here; the exact check clears it, and
+        # the overflow of the sum raises no RuntimeWarning
+        out = ad.relu(ad.tensor(np.full((2,), 1e308)))
+        assert_same_bits(out.data, np.full((2,), 1e308))
+
+    def test_nan_output_names_the_op(self):
+        # the one logit overflows to inf, and inf - max is NaN
+        x = ad.tensor(np.full((1, 1, 1), 1e200))
+        with pytest.raises(ad.NonFiniteError, match="^non-finite values in pooled_attention output$"):
+            ad.pooled_attention(x, x, x, heads=1)
 
     def test_backward_non_scalar(self):
         x = ad.tensor([1.0, 2.0], requires_grad=True)

@@ -212,6 +212,21 @@ class TestPrep:
         code = run_cli("prep", "--corpus", directory, "--out", tmp_path / "p.csv")
         assert code == 1
 
+    def test_out_that_exists_is_refused_before_reading_labels(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # written over, the corpus's labels.csv would hold the prepared
+        # manifest, and the next prep of the corpus would fail on its header
+        corpus = tmp_path / "corpus"
+        labels = datagen.write_manifest(datagen.plan_corpus(0), corpus)
+        before = labels.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "load_labels", no_read)
+            assert run_cli("prep", "--corpus", corpus, "--out", labels) == 1
+        expected = f"error: {labels}: already exists; output goes only to a new file\n"
+        assert capsys.readouterr().err == expected
+        assert labels.read_bytes() == before
+        assert run_cli("prep", "--corpus", corpus, "--out", tmp_path / "prepared.csv") == 0
+
 
 @pytest.fixture(scope="module")
 def mini_pipeline(tmp_path_factory):
@@ -902,6 +917,23 @@ class TestEval:
         expected = f"error: {run / 'predictions.json'}: not UTF-8 text (invalid start byte)\n"
         assert capsys.readouterr().err == expected
         assert not out.exists()
+
+    def test_out_that_exists_is_refused_before_reading_runs(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # written over, the run's predictions.json would hold the report,
+        # and the next eval of the run would fail on its missing schema
+        run = tmp_path / "run"
+        run.mkdir()
+        predictions = run / "predictions.json"
+        predictions.write_text(json.dumps(run_file()))
+        before = predictions.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "read_utf8", no_read)
+            assert run_cli("eval", "--runs", run, "--out", predictions) == 1
+        expected = f"error: {predictions}: already exists; output goes only to a new file\n"
+        assert capsys.readouterr().err == expected
+        assert predictions.read_bytes() == before
+        assert run_cli("eval", "--runs", run, "--out", tmp_path / "report.json") == 0
 
     def test_duplicate_model_method_refused(self, mini_pipeline, tmp_path):
         run1 = self.make_run(mini_pipeline, tmp_path, "rc", "mvit", "indirect")

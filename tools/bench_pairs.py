@@ -13,13 +13,18 @@ the raw clip rate (``raw.clips_per_s``, or ``raw.synth_clips_per_s`` on
 seconds divide by. Then, for each figure, each side's median and
 quartiles, the number of pairs the change won (ties count for neither)
 and whether that makes a gain: wins in at least nine pairs of ten, and
-medians further apart than the parent's quartile distance. ``probe_s``
+medians further apart than the parent's quartile distance. Each
+end-to-end metric also gets ``worse_than_bound``: whether the change's
+median is worse than the parent's by more than the metric's ``bound`` in
+BENCHMARK.json, a fraction of the parent's median, which is the
+condition on which the benchmark rejects a change. ``probe_s``
 measures the machine, not the program, and ``failed`` counts failed
 correctness checks, so neither gets a winner. The last line is the same
 summary as one JSON object: the workload, seconds, seeds, each side's
 commit and thread environment (``env.git_commit`` and ``env.threads`` of
 its runs), and for each figure both sides' per-pair values, medians and
-quartiles, and the wins and gain verdict where the figure has a winner.
+quartiles, the wins and gain verdict where the figure has a winner, and
+``worse_than_bound`` where it has a bound.
 ``--record PATH`` also merges that object into the JSON file PATH under
 the workload's name, creating the file if it does not exist, so one file
 collects the pairs of several workloads.
@@ -67,6 +72,30 @@ def quartiles(values):
     return q1, med, q3
 
 
+def compare(parent, change, better, bound=None):
+    """The summary of one figure over paired runs: both sides' values,
+    medians and quartiles; with ``better`` ("higher" or "lower") the
+    change's wins and the gain verdict; with a ``bound`` too, whether the
+    change's median is worse than the parent's by more than that fraction
+    of it."""
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    summary = {
+        "parent": parent, "change": change,
+        "parent_median": pm, "parent_quartiles": [p1, p3],
+        "change_median": cm, "change_quartiles": [c1, c3],
+    }
+    if better is None:
+        return summary
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gain = wins >= math.ceil(0.9 * len(parent)) and sign * (cm - pm) > p3 - p1
+    summary.update(wins=wins, gain=gain)
+    if bound is not None:
+        summary["worse_than_bound"] = sign * (pm - cm) > bound * abs(pm)
+    return summary
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -80,6 +109,7 @@ def main(argv=None):
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     better.update({"raw.clips_per_s": "higher", "probe_s": None, "failed": None})
     names = list(better)
 
@@ -101,28 +131,20 @@ def main(argv=None):
     n = len(args.seeds)
     print(f"\n{args.workload}: {n} pairs of {seconds:g} s runs")
     print(f"  {'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-          f"  change won  gain")
+          f"  change won  gain  worse than bound")
     summary = {}
     for name in names:
         parent = [f[name] for f in sides["parent"]]
         change = [f[name] for f in sides["change"]]
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
-        summary[name] = {
-            "parent": parent, "change": change,
-            "parent_median": pm, "parent_quartiles": [p1, p3],
-            "change_median": cm, "change_quartiles": [c1, c3],
-        }
-        row = (f"  {name:<20} {pm:>12.6g} [{p1:>9.6g}, {p3:>9.6g}]"
-               f" {cm:>12.6g} [{c1:>9.6g}, {c3:>9.6g}]")
-        if better[name] is None:
-            print(row)
-            continue
-        sign = 1 if better[name] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        gain = wins >= math.ceil(0.9 * n) and sign * (cm - pm) > p3 - p1
-        summary[name].update(wins=wins, gain=gain)
-        print(f"{row}  {wins:>4}/{n:<5}  {'yes' if gain else 'no'}")
+        s = summary[name] = compare(parent, change, better[name], bounds.get(name))
+        (p1, p3), (c1, c3) = s["parent_quartiles"], s["change_quartiles"]
+        row = (f"  {name:<20} {s['parent_median']:>12.6g} [{p1:>9.6g}, {p3:>9.6g}]"
+               f" {s['change_median']:>12.6g} [{c1:>9.6g}, {c3:>9.6g}]")
+        if "wins" in s:
+            row += f"  {s['wins']:>4}/{n:<5}  {'yes' if s['gain'] else 'no':<4}"
+        if "worse_than_bound" in s:
+            row += f"  {'YES' if s['worse_than_bound'] else 'no'}"
+        print(row)
     result = {"workload": args.workload, "seconds": seconds, "seeds": args.seeds,
               "commits": commits, "threads": threads, "metrics": summary}
     print(json.dumps(result))
